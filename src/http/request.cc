@@ -1,5 +1,7 @@
 #include "http/request.h"
 
+#include <algorithm>
+
 #include "util/strings.h"
 
 namespace gaa::http {
@@ -22,6 +24,30 @@ ParseResult Fail(RequestDefect defect, std::string detail) {
   out.defect = defect;
   out.detail = std::move(detail);
   return out;
+}
+
+bool HasControlByte(std::string_view text) {
+  return std::any_of(text.begin(), text.end(), [](char c) {
+    auto u = static_cast<unsigned char>(c);
+    return u != '\r' && u != '\n' && u != '\t' && (u < 0x20 || u > 0x7e);
+  });
+}
+
+/// The line at *pos without its LF and one trailing CR; advances *pos past
+/// the LF.  Returns false when no LF ends the line.
+bool NextLine(std::string_view text, std::size_t* pos, std::string_view* line) {
+  const std::size_t eol = text.find('\n', *pos);
+  const bool terminated = eol != std::string_view::npos;
+  *line = text.substr(*pos, (terminated ? eol : text.size()) - *pos);
+  *pos = terminated ? eol + 1 : text.size();
+  if (!line->empty() && line->back() == '\r') line->remove_suffix(1);
+  return terminated;
+}
+
+RequestHead BadFraming(RequestHead& head, const char* error) {
+  head.framing = RequestHead::Framing::kBad;
+  head.framing_error = error;
+  return head;
 }
 
 }  // namespace
@@ -77,64 +103,166 @@ const std::string* RequestRec::Header(const std::string& lower_name) const {
   return it == headers.end() ? nullptr : &it->second;
 }
 
-ParseResult ParseRequest(std::string_view text, const ParseLimits& limits) {
-  // Split head and body at the first blank line.
-  std::size_t head_end = text.find("\r\n\r\n");
-  std::size_t body_start;
-  if (head_end != std::string_view::npos) {
-    body_start = head_end + 4;
-  } else {
-    head_end = text.find("\n\n");
-    if (head_end != std::string_view::npos) {
-      body_start = head_end + 2;
-    } else {
-      head_end = text.size();
-      body_start = text.size();
+RequestHead ScanRequestHead(std::string_view buf, bool whole_text) {
+  RequestHead h;
+  std::string_view content_length;  // first value, trimmed
+  std::size_t pos = 0;
+  for (bool request_line = true;; request_line = false) {
+    const std::size_t start = pos;
+    std::string_view line;
+    const bool terminated = NextLine(buf, &pos, &line);
+    if (!terminated && !whole_text) return h;
+
+    if (!line.empty() && request_line) {
+      const auto space = [](char c) {
+        return c <= ' ' && (c == ' ' || c == '\t' || c == '\r' || c == '\f' ||
+                            c == '\v');
+      };
+      std::string_view* const fields[] = {&h.method, &h.target, &h.version};
+      for (auto it = line.begin();
+           (it = std::find_if_not(it, line.end(), space)) != line.end();) {
+        const auto end = std::find_if(it, line.end(), space);
+        if (h.request_line_fields < 3) {
+          *fields[h.request_line_fields] = std::string_view(&*it, end - it);
+        }
+        ++h.request_line_fields;
+        it = end;
+      }
+      h.keep_alive = h.version == "HTTP/1.1";
+    } else if (!line.empty()) {
+      ++h.header_lines;
+      h.longest_header_line = std::max(h.longest_header_line, line.size());
+      const std::size_t colon = line.find(':');
+      if (colon == std::string_view::npos || colon == 0) {
+        if (h.nameless_header.empty()) h.nameless_header = line;
+      } else {
+        const std::string_view name = util::Trim(line.substr(0, colon));
+        const std::string_view value = util::Trim(line.substr(colon + 1));
+        // A value always points into `buf`, so a null view is an absent one.
+        const auto first = [&](std::string_view* slot) {
+          if (slot->data() == nullptr) {
+            *slot = value;
+          } else {
+            h.repeats_fast_header = true;
+          }
+        };
+        if (util::EqualsIgnoreCase(name, "content-length")) {
+          // A repeat is harmless only when it says exactly the same thing;
+          // "5" vs "05" is how two parsers come to disagree.
+          if (!content_length.empty()) {
+            if (value != content_length) {
+              return BadFraming(h, "conflicting duplicate content-length");
+            }
+          } else {
+            auto parsed = util::ParseInt(value);
+            if (!parsed.has_value() || *parsed < 0) {
+              return BadFraming(h, "unparsable content-length");
+            }
+            content_length = value;
+            h.content_length = static_cast<std::size_t>(*parsed);
+          }
+        } else if (util::EqualsIgnoreCase(name, "transfer-encoding")) {
+          return BadFraming(h, "transfer-encoding not supported");
+        } else if (util::EqualsIgnoreCase(name, "connection")) {
+          bool close = false;
+          bool keep_alive = false;
+          for (std::size_t p = 0; p <= value.size();) {
+            std::size_t comma = value.find(',', p);
+            if (comma == std::string_view::npos) comma = value.size();
+            const std::string_view option =
+                util::Trim(value.substr(p, comma - p));
+            close = close || util::EqualsIgnoreCase(option, "close");
+            keep_alive =
+                keep_alive || util::EqualsIgnoreCase(option, "keep-alive");
+            p = comma + 1;
+          }
+          if (close) {
+            h.keep_alive = false;
+          } else if (keep_alive) {
+            h.keep_alive = true;
+          }
+        } else if (util::EqualsIgnoreCase(name, "authorization")) {
+          h.has_authorization = true;
+        } else if (util::EqualsIgnoreCase(name, "host")) {
+          first(&h.host);
+        } else if (util::EqualsIgnoreCase(name, "if-none-match")) {
+          first(&h.if_none_match);
+        } else if (util::EqualsIgnoreCase(name, "if-modified-since")) {
+          first(&h.if_modified_since);
+        }
+      }
+    }
+    if (line.empty() || !terminated) {
+      // The blank line; a whole text without one is all head.
+      h.lines = buf.substr(0, line.empty() ? start : pos);
+      h.body_offset = pos;
+      h.framing = RequestHead::Framing::kComplete;
+      return h;
     }
   }
-  std::string_view head = text.substr(0, head_end);
-  for (char c : head) {
-    auto u = static_cast<unsigned char>(c);
-    if (u != '\r' && u != '\n' && u != '\t' && (u < 0x20 || u > 0x7e)) {
-      return Fail(RequestDefect::kControlBytes,
+}
+
+RequestDefect CheckRequestHead(const RequestHead& head,
+                               const ParseLimits& limits,
+                               std::string* detail) {
+  const auto defect = [detail](RequestDefect d, std::string text) {
+    if (detail != nullptr) *detail = std::move(text);
+    return d;
+  };
+  if (HasControlByte(head.lines)) {
+    return defect(RequestDefect::kControlBytes,
                   "control byte in request head");
-    }
   }
-
-  // Request line.
-  std::size_t line_end = head.find('\n');
-  std::string_view request_line =
-      line_end == std::string_view::npos ? head : head.substr(0, line_end);
-  if (!request_line.empty() && request_line.back() == '\r') {
-    request_line.remove_suffix(1);
+  if (head.request_line_fields != 3) {
+    return defect(RequestDefect::kBadRequestLine,
+                  "request line has " +
+                      std::to_string(head.request_line_fields) + " fields");
   }
-  auto parts = util::SplitWhitespace(request_line);
-  if (parts.size() != 3) {
-    return Fail(RequestDefect::kBadRequestLine,
-                "request line has " + std::to_string(parts.size()) +
-                    " fields");
-  }
-  RequestRec rec;
-  rec.method = parts[0];
-  rec.raw_target = parts[1];
-  rec.http_version = parts[2];
-
-  for (char c : rec.method) {
+  for (char c : head.method) {
     if (!IsTokenChar(c)) {
-      return Fail(RequestDefect::kBadMethod, "method contains '" +
-                                                 std::string(1, c) + "'");
+      return defect(RequestDefect::kBadMethod,
+                    "method contains '" + std::string(1, c) + "'");
     }
   }
-  if (!IsKnownMethod(rec.method)) {
-    return Fail(RequestDefect::kBadMethod, "unknown method " + rec.method);
+  if (!IsKnownMethod(head.method)) {
+    return defect(RequestDefect::kBadMethod,
+                  "unknown method " + std::string(head.method));
   }
-  if (rec.http_version != "HTTP/1.0" && rec.http_version != "HTTP/1.1") {
-    return Fail(RequestDefect::kBadVersion, rec.http_version);
+  if (head.version != "HTTP/1.0" && head.version != "HTTP/1.1") {
+    return defect(RequestDefect::kBadVersion, std::string(head.version));
   }
-  if (rec.raw_target.size() > limits.max_target_bytes) {
-    return Fail(RequestDefect::kOversizedTarget,
-                std::to_string(rec.raw_target.size()) + " bytes");
+  if (head.target.size() > limits.max_target_bytes) {
+    return defect(RequestDefect::kOversizedTarget,
+                  std::to_string(head.target.size()) + " bytes");
   }
+  if (head.longest_header_line > limits.max_header_bytes) {
+    return defect(RequestDefect::kOversizedHeader,
+                  std::to_string(head.longest_header_line) + " bytes");
+  }
+  if (head.header_lines > limits.max_headers) {
+    return defect(RequestDefect::kTooManyHeaders,
+                  "more than " + std::to_string(limits.max_headers));
+  }
+  if (!head.nameless_header.empty()) {
+    return defect(RequestDefect::kBadHeader,
+                  std::string(head.nameless_header));
+  }
+  return RequestDefect::kNone;
+}
+
+ParseResult ParseRequest(std::string_view text, const ParseLimits& limits) {
+  const RequestHead head = ScanRequestHead(text, /*whole_text=*/true);
+  if (head.framing == RequestHead::Framing::kBad) {
+    return Fail(RequestDefect::kBadHeader, head.framing_error);
+  }
+  std::string detail;
+  const RequestDefect defect = CheckRequestHead(head, limits, &detail);
+  if (defect != RequestDefect::kNone) return Fail(defect, std::move(detail));
+
+  RequestRec rec;
+  rec.method = head.method;
+  rec.raw_target = head.target;
+  rec.http_version = head.version;
 
   // Split path / query, decode the path.
   std::string_view target = rec.raw_target;
@@ -162,59 +290,37 @@ ParseResult ParseRequest(std::string_view text, const ParseLimits& limits) {
     seg = end + 1;
   }
 
-  // Headers.
-  std::size_t header_count = 0;
-  std::size_t pos = line_end == std::string_view::npos ? head.size()
-                                                       : line_end + 1;
-  while (pos < head.size()) {
-    std::size_t eol = head.find('\n', pos);
-    std::string_view line = eol == std::string_view::npos
-                                ? head.substr(pos)
-                                : head.substr(pos, eol - pos);
-    pos = eol == std::string_view::npos ? head.size() : eol + 1;
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (line.empty()) continue;
-    if (line.size() > limits.max_header_bytes) {
-      return Fail(RequestDefect::kOversizedHeader,
-                  std::to_string(line.size()) + " bytes");
-    }
-    if (++header_count > limits.max_headers) {
-      return Fail(RequestDefect::kTooManyHeaders,
-                  "more than " + std::to_string(limits.max_headers));
-    }
-    auto colon = line.find(':');
-    if (colon == std::string_view::npos || colon == 0) {
-      return Fail(RequestDefect::kBadHeader, std::string(line));
-    }
+  // Headers: the scan vetted every line (each has a name), so what is left
+  // is folding them into the record.
+  std::size_t pos = 0;
+  std::string_view line;
+  NextLine(head.lines, &pos, &line);  // the request line
+  while (pos < head.lines.size()) {
+    NextLine(head.lines, &pos, &line);
+    const std::size_t colon = line.find(':');
     std::string name = util::ToLower(util::Trim(line.substr(0, colon)));
     std::string value(util::Trim(line.substr(colon + 1)));
     auto [it, inserted] = rec.headers.emplace(name, value);
-    if (!inserted) {
-      if (name == "content-length" || name == "host") {
-        // Folding framing/routing headers ("10, 10" or two Hosts) silently
-        // destroys the very field caches and routers key on — the raw
-        // material of request smuggling and cache poisoning.  Identical
-        // repeats collapse; conflicting ones are rejected outright.  Host
-        // repeats are compared canonically ("Host: a.com" then
-        // "Host: A.COM:80" names the same authority, not a conflict) —
-        // exactly the form the tenant router matches on, so the reject
-        // path and the routing path can never disagree.
-        const bool conflicting = name == "host"
-                                     ? NormalizeHost(it->second) !=
-                                           NormalizeHost(value)
-                                     : it->second != value;
-        if (conflicting) {
-          return Fail(RequestDefect::kBadHeader,
-                      "conflicting duplicate " + name);
-        }
-      } else {
-        it->second += ", ";
-        it->second += value;  // Apache-style duplicate folding
+    // The scan admits a repeated Content-Length only when identical, so it
+    // collapses to one value.
+    if (inserted || name == "content-length") continue;
+    if (name == "host") {
+      // Folding two Hosts destroys the very field caches and routers key
+      // on — the raw material of cache poisoning.  Repeats are compared
+      // canonically ("Host: a.com" then "Host: A.COM:80" names the same
+      // authority, not a conflict) — exactly the form the tenant router
+      // matches on, so the reject path and the routing path can never
+      // disagree.
+      if (NormalizeHost(it->second) != NormalizeHost(value)) {
+        return Fail(RequestDefect::kBadHeader, "conflicting duplicate host");
       }
+      continue;
     }
+    it->second += ", ";
+    it->second += value;  // Apache-style duplicate folding
   }
 
-  rec.body = std::string(text.substr(body_start));
+  rec.body = std::string(text.substr(head.body_offset));
   ParseResult out;
   out.request = std::move(rec);
   return out;
@@ -250,12 +356,8 @@ std::string_view NormalizeHostInto(std::string_view host, char* buf,
 }
 
 std::string NormalizeHost(std::string_view host) {
-  std::string_view bare = HostWithoutPort(host);
-  if (!bare.empty() && bare.back() == '.') bare.remove_suffix(1);
-  std::string out(bare);
-  for (char& c : out) {
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c + 32);
-  }
+  std::string out(host.size(), '\0');
+  out.resize(NormalizeHostInto(host, out.data(), out.size()).size());
   return out;
 }
 

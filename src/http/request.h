@@ -98,6 +98,57 @@ struct ParseResult {
   bool ok() const { return request.has_value(); }
 };
 
+/// One request head, scanned in place: every view points into the scanned
+/// buffer and is valid only while that buffer is unchanged.  The transport
+/// frames with this and the parser builds on it, so each framing rule
+/// (head end, Content-Length, Transfer-Encoding, keep-alive) is decided in
+/// exactly one place and the two can never disagree about where a request
+/// ends.
+struct RequestHead {
+  enum class Framing {
+    kIncomplete,  ///< no blank line yet
+    kComplete,    ///< head found; the body is content_length bytes
+    kBad,         ///< ambiguous framing (request-smuggling material)
+  };
+  Framing framing = Framing::kIncomplete;
+  const char* framing_error = "";  ///< diagnosis when framing == kBad
+
+  std::string_view lines;       ///< request line + header lines
+  std::size_t body_offset = 0;  ///< first byte after the blank line
+  std::size_t content_length = 0;
+  /// Version field, then the Connection header (kComplete only).
+  bool keep_alive = false;
+
+  std::size_t request_line_fields = 0;  ///< whitespace-separated fields
+  std::string_view method, target, version;  ///< the first three fields
+
+  std::size_t header_lines = 0;
+  std::size_t longest_header_line = 0;
+  std::string_view nameless_header;  ///< first line with no "name:" (or "")
+  bool has_authorization = false;
+  /// First Host and conditional-GET validators ("" when absent).
+  std::string_view host, if_none_match, if_modified_since;
+  /// Host or a validator appears more than once; only the parser's folding
+  /// rules can say what the request means.
+  bool repeats_fast_header = false;
+
+  std::size_t total_bytes() const { return body_offset + content_length; }
+};
+
+/// Scan the head at the start of `buf` without allocating.  With
+/// `whole_text` the buffer is one complete message and, when it has no
+/// blank line, all of it is head (in-process callers); otherwise a head
+/// without its blank line is kIncomplete (a socket buffer still filling).
+RequestHead ScanRequestHead(std::string_view buf, bool whole_text = false);
+
+/// The parser's checks on a scanned head, in diagnosis order: control
+/// bytes, request line, method, version, target size, header size, header
+/// count and nameless headers.  Returns the first defect (kNone when the
+/// head passes) and, when `detail` is non-null, its diagnosis.
+RequestDefect CheckRequestHead(const RequestHead& head,
+                               const ParseLimits& limits,
+                               std::string* detail = nullptr);
+
 /// Parse raw request text (head + optional body, CRLF or LF line endings).
 ParseResult ParseRequest(std::string_view text, const ParseLimits& limits = {});
 

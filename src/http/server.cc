@@ -175,123 +175,99 @@ bool PlainStaticTarget(std::string_view target, std::size_t max_bytes) {
 
 }  // namespace
 
-bool WebServer::InlineFastPathEligible(std::string_view method,
-                                       std::string_view target,
-                                       std::string_view host,
-                                       std::size_t max_response_bytes,
-                                       util::Ipv4Address client_ip) const {
-  if (tree_ == nullptr || controller_ == nullptr) return false;
-  if (method != "GET" && method != "HEAD") return false;
+WebServer::FastPath WebServer::AdmitFastPath(const RequestHead& head,
+                                             util::Ipv4Address client_ip,
+                                             bool keep_alive,
+                                             std::size_t max_response_bytes,
+                                             StaticFastResponse* out) {
+  const std::string_view method = head.method;
+  const std::string_view target = head.target;
+  if (tree_ == nullptr || controller_ == nullptr) return FastPath::kWorker;
+  if (method != "GET" && method != "HEAD") return FastPath::kWorker;
+  if (head.content_length != 0 || head.has_authorization) {
+    return FastPath::kWorker;
+  }
   if (!PlainStaticTarget(target, options_.parse_limits.max_target_bytes)) {
-    return false;
+    return FastPath::kWorker;
   }
   if (!options_.status_path.empty() &&
       util::StartsWith(target, options_.status_path)) {
-    return false;  // admin endpoint renders dynamic content
+    return FastPath::kWorker;  // admin endpoint renders dynamic content
   }
   // Resolve the tenant exactly as the pipeline will — admission and answer
-  // must agree on namespace and document subtree.  A rejected host takes
-  // the worker path, which owns the 421.
+  // must agree on namespace and document subtree.  Host normalization and
+  // the doc-root join both land in stack buffers.
   std::string_view tenant;
   std::string_view doc_root;
   if (tenant_router_ != nullptr && !tenant_router_->empty()) {
     char hbuf[kHostBufBytes];
-    TenantRouter::Resolution res =
-        tenant_router_->Resolve(NormalizeHostInto(host, hbuf, sizeof hbuf));
-    if (res.reject) return false;
+    TenantRouter::Resolution res = tenant_router_->Resolve(
+        NormalizeHostInto(head.host, hbuf, sizeof hbuf));
+    if (res.reject) return FastPath::kWorker;
     tenant = res.tenant;
     doc_root = res.doc_root;
   }
   char jbuf[kRemapBufBytes];
   std::string_view lookup =
       TenantRouter::RemapTarget(doc_root, target, jbuf, sizeof jbuf);
-  if (lookup.empty()) return false;
+  if (lookup.empty()) return FastPath::kWorker;
+
+  // The template tier never runs the parser, so it takes only heads the
+  // parser would accept unchanged.
+  const StaticContentPlane::Entry* entry =
+      plane_ != nullptr && controller_->AllowsUnchecked() &&
+              (telemetry_ == nullptr || !telemetry_->tracing_enabled()) &&
+              !head.repeats_fast_header &&
+              CheckRequestHead(head, options_.parse_limits) ==
+                  RequestDefect::kNone
+          ? plane_->Find(lookup)
+          : nullptr;
+  if (entry != nullptr && entry->body.size() <= max_response_bytes) {
+    util::Stopwatch sw;
+    const bool not_modified =
+        NotModified(head.if_none_match, head.if_modified_since, *entry);
+    const StaticContentPlane::Entry::Head& wire =
+        not_modified ? entry->head304[keep_alive ? 1 : 0]
+                     : entry->head200[keep_alive ? 1 : 0];
+    out->head_pre = wire.pre;
+    out->head_post = wire.post;
+    out->body = (not_modified || method == "HEAD") ? std::string_view()
+                                                   : entry->body;
+    out->status = not_modified ? static_cast<int>(StatusCode::kNotModified)
+                               : static_cast<int>(StatusCode::kOk);
+    date_cache_.Line(clock_ != nullptr ? clock_->Now() : 0, out->date_line);
+
+    // Accounting identical to the pipeline's: served count, request/304
+    // counters, latency histogram, represented-length access log entry.
+    requests_served_.fetch_add(1);
+    if (requests_total_ != nullptr) requests_total_->Inc();
+    if (not_modified && not_modified_total_ != nullptr) {
+      not_modified_total_->Inc();
+    }
+    if (telemetry::Counter* counter = StatusCounterFor(out->status)) {
+      counter->Inc();
+    }
+    const std::uint64_t represented = not_modified ? 0 : entry->body.size();
+    AppendAccessLog(method, target, /*user=*/{}, client_ip, out->status,
+                    represented, /*trace_id=*/0);
+    if (latency_hist_ != nullptr) {
+      latency_hist_->Record(static_cast<std::uint64_t>(sw.ElapsedUs()));
+    }
+    if (request_observer_) {
+      request_observer_(method, target, client_ip, out->status);
+    }
+    return FastPath::kServed;
+  }
+
   const Document* doc = tree_->FindDocument(lookup);
   if (doc == nullptr || doc->content.size() > max_response_bytes) {
-    return false;  // missing or over the inline byte budget
+    return FastPath::kWorker;  // missing or over the inline byte budget
   }
   // The memo is probed with the *logical* path — the object policies (and
   // the worker path's Check) govern — in the resolved tenant's namespace.
-  return controller_->DecisionIsMemoized(target, method, client_ip, tenant);
-}
-
-bool WebServer::TryServeStaticFast(std::string_view method,
-                                   std::string_view target,
-                                   std::string_view host,
-                                   std::string_view if_none_match,
-                                   std::string_view if_modified_since,
-                                   util::Ipv4Address client_ip,
-                                   bool keep_alive,
-                                   std::size_t max_response_bytes,
-                                   StaticFastResponse* out) {
-  if (plane_ == nullptr || controller_ == nullptr) return false;
-  if (method != "GET" && method != "HEAD") return false;
-  if (!controller_->AllowsUnchecked()) return false;
-  // A traced request must travel the pipeline so its spans exist; the
-  // inline-pipeline tier still keeps it off the worker queue.
-  if (telemetry_ != nullptr && telemetry_->tracing_enabled()) return false;
-  if (!PlainStaticTarget(target, options_.parse_limits.max_target_bytes)) {
-    return false;
-  }
-  if (!options_.status_path.empty() &&
-      util::StartsWith(target, options_.status_path)) {
-    return false;
-  }
-  // Per-tenant serving, still allocation-free: host normalization and the
-  // doc-root join both land in stack buffers.  Rejected hosts fall back to
-  // the pipeline for the 421.
-  std::string_view doc_root;
-  if (tenant_router_ != nullptr && !tenant_router_->empty()) {
-    char hbuf[kHostBufBytes];
-    TenantRouter::Resolution res =
-        tenant_router_->Resolve(NormalizeHostInto(host, hbuf, sizeof hbuf));
-    if (res.reject) return false;
-    doc_root = res.doc_root;
-  }
-  char jbuf[kRemapBufBytes];
-  std::string_view lookup =
-      TenantRouter::RemapTarget(doc_root, target, jbuf, sizeof jbuf);
-  if (lookup.empty()) return false;
-  const StaticContentPlane::Entry* entry = plane_->Find(lookup);
-  if (entry == nullptr || entry->body.size() > max_response_bytes) {
-    return false;
-  }
-
-  util::Stopwatch sw;
-  const bool not_modified =
-      NotModified(if_none_match, if_modified_since, *entry);
-  const StaticContentPlane::Entry::Head& head =
-      not_modified ? entry->head304[keep_alive ? 1 : 0]
-                   : entry->head200[keep_alive ? 1 : 0];
-  out->head_pre = head.pre;
-  out->head_post = head.post;
-  out->body = (not_modified || method == "HEAD") ? std::string_view()
-                                                 : entry->body;
-  out->status = not_modified
-                    ? static_cast<int>(StatusCode::kNotModified)
-                    : static_cast<int>(StatusCode::kOk);
-  date_cache_.Line(clock_ != nullptr ? clock_->Now() : 0, out->date_line);
-
-  // Accounting identical to the pipeline's: served count, request/304
-  // counters, latency histogram, represented-length access log entry.
-  requests_served_.fetch_add(1);
-  if (requests_total_ != nullptr) requests_total_->Inc();
-  if (not_modified && not_modified_total_ != nullptr) {
-    not_modified_total_->Inc();
-  }
-  if (telemetry::Counter* counter = StatusCounterFor(out->status)) {
-    counter->Inc();
-  }
-  const std::uint64_t represented = not_modified ? 0 : entry->body.size();
-  AppendAccessLog(method, target, /*user=*/{}, client_ip, out->status,
-                  represented, /*trace_id=*/0);
-  if (latency_hist_ != nullptr) {
-    latency_hist_->Record(static_cast<std::uint64_t>(sw.ElapsedUs()));
-  }
-  if (request_observer_) {
-    request_observer_(method, target, client_ip, out->status);
-  }
-  return true;
+  return controller_->DecisionIsMemoized(target, method, client_ip, tenant)
+             ? FastPath::kInline
+             : FastPath::kWorker;
 }
 
 HttpResponse WebServer::DoHandle(RequestRec& rec) {
@@ -572,13 +548,15 @@ telemetry::Counter* WebServer::StatusCounterFor(int code) {
   if (telemetry_ == nullptr) return nullptr;
   telemetry::Counter* counter =
       code >= 0 && code < kMaxStatusCode
-          ? status_counters_[code].load(std::memory_order_relaxed)
+          ? status_counters_[code].load(std::memory_order_acquire)
           : nullptr;
   if (counter == nullptr) {
     counter = telemetry_->registry().GetCounter(
         "http_responses_total", "code=\"" + std::to_string(code) + "\"");
     if (code >= 0 && code < kMaxStatusCode) {
-      status_counters_[code].store(counter, std::memory_order_relaxed);
+      // Release: a thread that loads the handle must also see the counter
+      // the registry constructed behind it.
+      status_counters_[code].store(counter, std::memory_order_release);
     }
   }
   return counter;

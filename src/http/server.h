@@ -202,22 +202,6 @@ class WebServer {
   /// Pipeline from an already-parsed record.
   HttpResponse Handle(RequestRec rec);
 
-  /// Transport fast-path admission (DESIGN.md §10): true when a framed
-  /// request with this method/target can safely be handled on the
-  /// transport's event-loop thread — a GET for an existing static document
-  /// no larger than `max_response_bytes`, with a plain target (no
-  /// percent-escapes, query, fragment or dot-dot, so the probe path equals
-  /// the parsed path exactly), not the status endpoint, whose access
-  /// decision the controller already holds memoized.  The caller still
-  /// runs the full HandleText pipeline — admission only chooses *where*
-  /// it runs, never what it answers.  `host` is the raw Host header value
-  /// ("" when absent): admission resolves the tenant exactly like the
-  /// pipeline will, so the probe and the answer can never disagree.
-  bool InlineFastPathEligible(std::string_view method, std::string_view target,
-                              std::string_view host,
-                              std::size_t max_response_bytes,
-                              util::Ipv4Address client_ip) const;
-
   /// One template-served static response: three stable views (the
   /// pre-serialized head split around the Date line, and the document body
   /// straight out of the DocTree) plus the per-request Date line rendered
@@ -231,29 +215,36 @@ class WebServer {
     int status = 200;
   };
 
-  /// The transport's zero-allocation tier (DESIGN.md §11): serve `method`
-  /// (GET or HEAD) for `target` straight from the static content plane's
-  /// templates, skipping the pipeline.  Admitted only when the controller
-  /// AllowsUnchecked() (so skipping Check/OnExecution/OnComplete is
-  /// unobservable), the target is plain and maps to a templated document
-  /// within `max_response_bytes`, and tracing is off (a traced request
-  /// must travel the pipeline so its spans exist).  Evaluates
-  /// If-None-Match / If-Modified-Since against the entry's validators and
-  /// answers 304 when they match.  Performs all request accounting
-  /// (requests_served, counters, latency, access log) itself; the caller
-  /// only writes the views.  Returns false to fall back; allocation-free
-  /// either way once caches are warm.
-  /// `host` is the raw Host header value; tenant resolution (and the
-  /// per-tenant doc-root remap) happens in a stack buffer, so the tier
-  /// stays allocation-free.  A host the router rejects falls back to the
-  /// pipeline, which answers the 421.
-  bool TryServeStaticFast(std::string_view method, std::string_view target,
-                          std::string_view host,
-                          std::string_view if_none_match,
-                          std::string_view if_modified_since,
-                          util::Ipv4Address client_ip, bool keep_alive,
-                          std::size_t max_response_bytes,
-                          StaticFastResponse* out);
+  /// Where the transport serves a framed request.
+  enum class FastPath {
+    kWorker,  ///< the ordinary pipeline on a worker thread
+    kInline,  ///< the full pipeline (HandleText) on the event-loop thread
+    kServed,  ///< already answered from the static plane's templates
+  };
+
+  /// Transport fast-path admission (DESIGN.md §10.3, §11.3), one call per
+  /// framed request.  Only an anonymous, bodiless GET/HEAD of a plain
+  /// target (no percent-escapes, query, fragment or dot-dot, so the probe
+  /// path equals the parsed path exactly) that is not the status endpoint
+  /// and names a static document no larger than `max_response_bytes` in
+  /// the tenant its Host resolves to (a host the router rejects goes to
+  /// the worker, which answers the 421) leaves the worker path:
+  ///   * kServed — the zero-allocation template tier (DESIGN.md §11): the
+  ///     controller AllowsUnchecked() (so skipping Check/OnExecution/
+  ///     OnComplete is unobservable), tracing is off (a traced request must
+  ///     travel the pipeline so its spans exist), and the head is one the
+  ///     parser accepts as is.  `out` holds the response, conditional GET
+  ///     (If-None-Match / If-Modified-Since → 304) is evaluated, and all
+  ///     request accounting (requests_served, counters, latency, access
+  ///     log, request observer) is done; the caller only writes the views.
+  ///   * kInline — the controller holds the access decision memoized as a
+  ///     pure terminal YES/NO; the caller runs the full HandleText pipeline
+  ///     on its own thread.  Admission only chooses *where* it runs, never
+  ///     what it answers.
+  /// Allocation-free once caches are warm.
+  FastPath AdmitFastPath(const RequestHead& head, util::Ipv4Address client_ip,
+                         bool keep_alive, std::size_t max_response_bytes,
+                         StaticFastResponse* out);
 
   /// The response-template cache (null when Options::enable_static_plane
   /// is false or the server has no document tree).

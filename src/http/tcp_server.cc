@@ -16,7 +16,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <optional>
 #include <unordered_map>
 
 #include "http/static_plane.h"
@@ -182,173 +181,6 @@ class TimerWheel {
   std::array<std::vector<std::uint64_t>, kSlots> slots_{};
 };
 
-// --- request framing ---------------------------------------------------------
-//
-// Decide where one request ends in a connection's byte stream, before any
-// parsing.  Framing is attack surface: conflicting Content-Length headers
-// and Transfer-Encoding are the raw material of request smuggling, so both
-// are rejected here rather than papered over.
-
-enum class FrameStatus { kNeedMore, kComplete, kTooLarge, kBad };
-
-struct FrameResult {
-  FrameStatus status = FrameStatus::kNeedMore;
-  std::size_t total_bytes = 0;  ///< head + separator + body (kComplete)
-  bool keep_alive = true;       ///< what the request asked for (kComplete)
-  std::string detail;           ///< diagnosis (kBad)
-  /// Original-case request slices (views into the caller's buffer, valid
-  /// only until it is mutated; kComplete only).
-  std::string_view method;
-  std::string_view target;
-  std::string_view host;               ///< raw Host value ("" when absent)
-  std::string_view if_none_match;      ///< conditional-GET validators,
-  std::string_view if_modified_since;  ///< empty when absent
-  /// Plain anonymous GET/HEAD with no body — the shape the inline fast
-  /// paths may consider (the transport still applies the full admission
-  /// check).
-  bool inline_candidate = false;
-};
-
-char AsciiLower(char c) {
-  return c >= 'A' && c <= 'Z' ? static_cast<char>(c + 32) : c;
-}
-
-/// Case-insensitive equality against an already-lower-case needle.
-/// Framing runs on the event loop for every request, so it compares in
-/// place rather than lowercasing a copy of the head — no allocation.
-bool EqualsLower(std::string_view s, std::string_view lower) {
-  if (s.size() != lower.size()) return false;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (AsciiLower(s[i]) != lower[i]) return false;
-  }
-  return true;
-}
-
-/// Case-insensitive containment of an already-lower-case needle.
-bool ContainsLower(std::string_view hay, std::string_view lower) {
-  if (hay.size() < lower.size()) return false;
-  for (std::size_t i = 0; i + lower.size() <= hay.size(); ++i) {
-    std::size_t j = 0;
-    while (j < lower.size() && AsciiLower(hay[i + j]) == lower[j]) ++j;
-    if (j == lower.size()) return true;
-  }
-  return false;
-}
-
-FrameResult FrameRequest(const std::string& buf, std::size_t max_bytes) {
-  FrameResult out;
-  std::size_t head_end = buf.find("\r\n\r\n");
-  std::size_t sep = 4;
-  if (head_end == std::string::npos) {
-    head_end = buf.find("\n\n");
-    sep = 2;
-  }
-  if (head_end == std::string::npos) {
-    out.status =
-        buf.size() > max_bytes ? FrameStatus::kTooLarge : FrameStatus::kNeedMore;
-    return out;
-  }
-  std::string_view head(buf.data(), head_end);
-
-  // Request-line version decides the keep-alive default.
-  std::size_t line_end = head.find('\n');
-  std::string_view request_line =
-      line_end == std::string_view::npos ? head : head.substr(0, line_end);
-  out.keep_alive = ContainsLower(request_line, "http/1.1");
-
-  std::optional<std::int64_t> content_length;
-  bool has_authorization = false;
-  std::size_t pos = line_end == std::string_view::npos ? head.size() : line_end + 1;
-  while (pos < head.size()) {
-    std::size_t eol = head.find('\n', pos);
-    std::string_view line = eol == std::string_view::npos
-                                ? head.substr(pos)
-                                : head.substr(pos, eol - pos);
-    pos = eol == std::string_view::npos ? head.size() : eol + 1;
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    auto colon = line.find(':');
-    if (colon == std::string_view::npos) continue;  // parser's problem
-    std::string_view name = util::Trim(line.substr(0, colon));
-    std::string_view value = util::Trim(line.substr(colon + 1));
-    if (EqualsLower(name, "content-length")) {
-      auto parsed = util::ParseInt(value);
-      if (!parsed.has_value() || *parsed < 0) {
-        out.status = FrameStatus::kBad;
-        out.detail = "unparsable content-length";
-        return out;
-      }
-      if (content_length.has_value() && *content_length != *parsed) {
-        out.status = FrameStatus::kBad;
-        out.detail = "conflicting duplicate content-length";
-        return out;
-      }
-      content_length = *parsed;
-    } else if (EqualsLower(name, "transfer-encoding")) {
-      out.status = FrameStatus::kBad;
-      out.detail = "transfer-encoding not supported";
-      return out;
-    } else if (EqualsLower(name, "connection")) {
-      if (ContainsLower(value, "close")) {
-        out.keep_alive = false;
-      } else if (ContainsLower(value, "keep-alive")) {
-        out.keep_alive = true;
-      }
-    } else if (EqualsLower(name, "authorization")) {
-      has_authorization = true;
-    } else if (EqualsLower(name, "host")) {
-      // First value wins for fast-path tenant routing; a conflicting
-      // duplicate is the parser's reject (the probe can only ever send a
-      // would-be fast-path request down the worker path).
-      if (out.host.empty()) out.host = value;
-    } else if (EqualsLower(name, "if-none-match")) {
-      out.if_none_match = value;
-    } else if (EqualsLower(name, "if-modified-since")) {
-      out.if_modified_since = value;
-    }
-  }
-
-  std::size_t body = content_length.has_value()
-                         ? static_cast<std::size_t>(*content_length)
-                         : 0;
-  std::size_t total = head_end + sep + body;
-  if (total > max_bytes) {
-    out.status = FrameStatus::kTooLarge;
-    return out;
-  }
-  if (buf.size() < total) {
-    out.status = FrameStatus::kNeedMore;
-    return out;
-  }
-  out.status = FrameStatus::kComplete;
-  out.total_bytes = total;
-
-  // Method/target from the original-case request line, for the fast-path
-  // probes.
-  std::size_t raw_line_end =
-      line_end == std::string_view::npos ? head_end : line_end;
-  std::string_view line0(buf.data(), raw_line_end);
-  std::size_t sp1 = line0.find(' ');
-  if (sp1 != std::string_view::npos) {
-    std::size_t sp2 = line0.find(' ', sp1 + 1);
-    if (sp2 != std::string_view::npos) {
-      out.method = line0.substr(0, sp1);
-      out.target = line0.substr(sp1 + 1, sp2 - sp1 - 1);
-    }
-  }
-  out.inline_candidate =
-      body == 0 && !has_authorization &&
-      (out.method == "GET" || out.method == "HEAD");
-  return out;
-}
-
-/// Raw accepted socket in flight from the accepting shard to its owner
-/// (fallback mode when SO_REUSEPORT is unavailable).
-struct Handoff {
-  int fd = -1;
-  std::uint32_t ip_host_order = 0;
-  std::uint16_t peer_port = 0;
-};
-
 }  // namespace
 
 // --- per-connection state machine -------------------------------------------
@@ -440,11 +272,10 @@ struct TcpServer::Shard {
   Shard(std::size_t index_arg, std::size_t ring_capacity)
       : index(index_arg),
         jobs(ring_capacity),
-        done(ring_capacity),
-        handoff(ring_capacity) {}
+        done(ring_capacity) {}
 
   const std::size_t index;
-  int listen_fd = -1;  ///< own SO_REUSEPORT listener, or -1 (fallback mode)
+  int listen_fd = -1;  ///< own SO_REUSEPORT listener
   int epoll_fd = -1;
   int wake_fd = -1;  ///< nonblocking eventfd: wakes the shard loop
   int job_efd = -1;  ///< EFD_SEMAPHORE eventfd: parks idle workers
@@ -452,7 +283,6 @@ struct TcpServer::Shard {
   // Loop-thread-only state.
   std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns;
   std::uint64_t next_conn_id = kFirstConnId;
-  std::size_t accept_rr = 0;  ///< fallback round-robin cursor (shard 0)
   TimerWheel wheel;
   std::vector<std::string> buf_pool;
   bool stats_dirty = false;
@@ -463,7 +293,6 @@ struct TcpServer::Shard {
   // Lock-free worker handoff: loop pushes jobs, workers push completions.
   util::MpmcRing<Job> jobs;
   util::MpmcRing<Done> done;
-  util::MpmcRing<Handoff> handoff;
 
   // Counters: written by this shard's threads, read by any (stats()).
   std::atomic<std::uint64_t> accepted{0};
@@ -558,19 +387,6 @@ util::VoidResult TcpServer::Start() {
                  "inherited_listen_fds must supply exactly one fd per shard");
   }
 
-  // Probe SO_REUSEPORT support once up front so every shard takes the same
-  // path; a refusing kernel demotes the whole server to fd-handoff mode.
-  bool reuseport = options_.so_reuseport && nshards > 1 && !inherited;
-  if (reuseport) {
-    int probe = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    int one = 1;
-    if (probe < 0 ||
-        setsockopt(probe, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) < 0) {
-      reuseport = false;
-    }
-    if (probe >= 0) ::close(probe);
-  }
-
   for (std::size_t i = 0; i < nshards; ++i) {
     shards_.push_back(std::make_unique<Shard>(i, ring_capacity));
     Shard& shard = *shards_.back();
@@ -581,7 +397,6 @@ util::VoidResult TcpServer::Start() {
     shard.job_efd = ::eventfd(0, EFD_CLOEXEC | EFD_SEMAPHORE);
     if (shard.job_efd < 0) return fail("eventfd(jobs)");
 
-    const bool wants_listener = i == 0 || reuseport || inherited;
     if (inherited) {
       // The fd was created by the supervisor (bound, listening, sharing the
       // port via SO_REUSEPORT); we own it from here.  Status flags survive
@@ -604,24 +419,15 @@ util::VoidResult TcpServer::Start() {
         }
         port_ = ntohs(addr.sin_port);
       }
-      epoll_event lev{};
-      lev.events = EPOLLIN;
-      lev.data.u64 = kListenTag;
-      if (::epoll_ctl(shard.epoll_fd, EPOLL_CTL_ADD, shard.listen_fd, &lev) <
-          0) {
-        return fail("epoll_ctl(inherited listener)");
-      }
-    } else if (wants_listener) {
+    } else {
       shard.listen_fd =
           ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
       if (shard.listen_fd < 0) return fail("socket");
       int one = 1;
       setsockopt(shard.listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-      if (reuseport) {
-        if (setsockopt(shard.listen_fd, SOL_SOCKET, SO_REUSEPORT, &one,
-                       sizeof(one)) < 0) {
-          return fail("setsockopt(SO_REUSEPORT)");
-        }
+      if (nshards > 1 && setsockopt(shard.listen_fd, SOL_SOCKET,
+                                    SO_REUSEPORT, &one, sizeof(one)) < 0) {
+        return fail("setsockopt(SO_REUSEPORT)");
       }
       sockaddr_in addr{};
       addr.sin_family = AF_INET;
@@ -640,16 +446,13 @@ util::VoidResult TcpServer::Start() {
       if (::listen(shard.listen_fd, options_.backlog) < 0) {
         return fail("listen");
       }
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.u64 = kListenTag;
-      if (::epoll_ctl(shard.epoll_fd, EPOLL_CTL_ADD, shard.listen_fd, &ev) <
-          0) {
-        return fail("epoll_ctl(listen)");
-      }
     }
     epoll_event ev{};
     ev.events = EPOLLIN;
+    ev.data.u64 = kListenTag;
+    if (::epoll_ctl(shard.epoll_fd, EPOLL_CTL_ADD, shard.listen_fd, &ev) < 0) {
+      return fail("epoll_ctl(listen)");
+    }
     ev.data.u64 = kWakeTag;
     if (::epoll_ctl(shard.epoll_fd, EPOLL_CTL_ADD, shard.wake_fd, &ev) < 0) {
       return fail("epoll_ctl(wake)");
@@ -744,11 +547,6 @@ void TcpServer::Stop() {
     }
     Done done;
     while (shard->done.Pop(done)) {
-    }
-    Handoff handoff;
-    while (shard->handoff.Pop(handoff)) {
-      ::close(handoff.fd);
-      total_active_.fetch_sub(1);
     }
     if (shard->epoll_fd >= 0) ::close(shard->epoll_fd);
     if (shard->wake_fd >= 0) ::close(shard->wake_fd);
@@ -914,7 +712,6 @@ void TcpServer::ShardLoop(Shard& shard) {
         CloseConn(shard, tag);
       }
     }
-    DrainHandoff(shard);
     DrainCompletions(shard);
     std::int64_t after = NowMs();
     shard.wheel.Advance(
@@ -945,10 +742,6 @@ void TcpServer::ShardLoop(Shard& shard) {
 }
 
 void TcpServer::AcceptNew(Shard& shard) {
-  // In fd-handoff mode only shard 0 has a listener; every other shard's
-  // listen_fd is -1 for the whole run, which is how we detect the mode.
-  const bool handoff_mode =
-      shards_.size() > 1 && shards_[1]->listen_fd < 0;
   for (;;) {
     sockaddr_in peer{};
     socklen_t len = sizeof(peer);
@@ -960,79 +753,44 @@ void TcpServer::AcceptNew(Shard& shard) {
     }
     int one = 1;
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    std::uint32_t ip = ntohl(peer.sin_addr.s_addr);
-    std::uint16_t peer_port = ntohs(peer.sin_port);
 
-    // The accepting shard reserves the global slot before any handoff, so
-    // the max_connections cap holds even with fds in flight between shards.
-    bool over_cap = total_active_.fetch_add(1, std::memory_order_relaxed) >=
-                    options_.max_connections;
-    if (over_cap) {
-      AdoptFd(shard, fd, ip, peer_port, /*shed=*/true);
+    auto conn = std::make_unique<Connection>();
+    conn->id = shard.next_conn_id++;
+    conn->fd = fd;
+    conn->ip = util::Ipv4Address(ntohl(peer.sin_addr.s_addr));
+    conn->peer_port = ntohs(peer.sin_port);
+    conn->last_active_ms = NowMs();
+    conn->in = PoolAcquire(shard.buf_pool);
+
+    if (total_active_.fetch_add(1, std::memory_order_relaxed) >=
+        options_.max_connections) {
+      // Graceful shedding: queue a 503 and keep the connection around just
+      // long enough for the peer to read it (closing immediately would race
+      // the client's request and turn the 503 into a reset).
+      shard.shed_count.fetch_add(1, std::memory_order_relaxed);
+      conn->shed = true;
+      HttpResponse resp = HttpResponse::Make(StatusCode::kServiceUnavailable);
+      resp.headers["Connection"] = "close";
+      resp.headers["Retry-After"] = "1";
+      EnqueueResponse(shard, conn.get(), resp, /*close_after=*/false);
+    } else {
+      shard.accepted.fetch_add(1, std::memory_order_relaxed);
+    }
+    shard.stats_dirty = true;
+
+    epoll_event ev{};
+    ev.data.u64 = conn->id;
+    ev.events = EPOLLIN;
+    if (conn->HasOutput()) ev.events |= EPOLLOUT;
+    Connection* raw = conn.get();
+    shard.conns.emplace(raw->id, std::move(conn));
+    shard.active.store(shard.conns.size(), std::memory_order_relaxed);
+    if (::epoll_ctl(shard.epoll_fd, EPOLL_CTL_ADD, fd, &ev) < 0) {
+      CloseConn(shard, raw->id);
       continue;
     }
-    if (handoff_mode) {
-      std::size_t target = shard.accept_rr++ % shards_.size();
-      if (target != shard.index) {
-        Shard& owner = *shards_[target];
-        if (owner.handoff.Push(Handoff{fd, ip, peer_port})) {
-          WakeShard(owner);
-          continue;
-        }
-        // Handoff ring full (cannot happen by sizing): adopt locally.
-      }
-    }
-    AdoptFd(shard, fd, ip, peer_port, /*shed=*/false);
-  }
-}
-
-void TcpServer::AdoptFd(Shard& shard, int fd, std::uint32_t ip_host_order,
-                        std::uint16_t peer_port, bool shed) {
-  auto conn = std::make_unique<Connection>();
-  conn->id = shard.next_conn_id++;
-  conn->fd = fd;
-  conn->ip = util::Ipv4Address(ip_host_order);
-  conn->peer_port = peer_port;
-  conn->last_active_ms = NowMs();
-  conn->in = PoolAcquire(shard.buf_pool);
-
-  if (shed) {
-    // Graceful shedding: queue a 503 and keep the connection around just
-    // long enough for the peer to read it (closing immediately would race
-    // the client's request and turn the 503 into a reset).
-    shard.shed_count.fetch_add(1, std::memory_order_relaxed);
-    conn->shed = true;
-    HttpResponse resp = HttpResponse::Make(StatusCode::kServiceUnavailable);
-    resp.headers["Connection"] = "close";
-    resp.headers["Retry-After"] = "1";
-    EnqueueResponse(shard, conn.get(), resp, /*close_after=*/false);
-  } else {
-    shard.accepted.fetch_add(1, std::memory_order_relaxed);
-  }
-  shard.stats_dirty = true;
-
-  epoll_event ev{};
-  ev.data.u64 = conn->id;
-  ev.events = EPOLLIN;
-  if (conn->HasOutput()) ev.events |= EPOLLOUT;
-  Connection* raw = conn.get();
-  shard.conns.emplace(raw->id, std::move(conn));
-  shard.active.store(shard.conns.size(), std::memory_order_relaxed);
-  if (::epoll_ctl(shard.epoll_fd, EPOLL_CTL_ADD, fd, &ev) < 0) {
-    CloseConn(shard, raw->id);
-    return;
-  }
-  Touch(shard, raw);
-  if (raw->shed) TryWrite(shard, raw);
-}
-
-void TcpServer::DrainHandoff(Shard& shard) {
-  Handoff handoff;
-  while (shard.handoff.Pop(handoff)) {
-    // The global slot was reserved by the accepting shard; AdoptFd only
-    // tracks the shard-local tables.
-    AdoptFd(shard, handoff.fd, handoff.ip_host_order, handoff.peer_port,
-            /*shed=*/false);
+    Touch(shard, raw);
+    if (raw->shed) TryWrite(shard, raw);
   }
 }
 
@@ -1075,106 +833,81 @@ void TcpServer::TryDispatch(Shard& shard, Connection* conn) {
       return;
     }
 
-    FrameResult frame = FrameRequest(conn->in, options_.max_request_bytes);
-    switch (frame.status) {
-      case FrameStatus::kNeedMore:
-        if (!conn->read_eof) {
-          UpdateInterest(shard, conn);
-          return;
-        }
-        if (conn->in.empty()) {
-          // Clean end of a keep-alive conversation.
-          if (!conn->HasOutput()) {
-            CloseConn(shard, conn->id);
-          } else {
-            conn->close_after_write = true;
-            UpdateInterest(shard, conn);
-          }
-          return;
-        }
-        // The peer closed mid-request: a truncated head or Content-Length
-        // body.  The fragment must never reach the handler as well-formed.
-        shard.rejected.fetch_add(1, std::memory_order_relaxed);
-        shard.stats_dirty = true;
-        server_->ReportMalformed(
-            RequestDefect::kTruncatedBody,
-            "peer closed after " + std::to_string(conn->in.size()) +
-                " bytes of an incomplete request",
-            conn->ip);
-        conn->in.clear();
-        RespondAndClose(shard, conn, StatusCode::kBadRequest);
-        return;
-      case FrameStatus::kTooLarge:
-        shard.rejected.fetch_add(1, std::memory_order_relaxed);
-        shard.stats_dirty = true;
-        conn->in.clear();
-        RespondAndClose(shard, conn, StatusCode::kPayloadTooLarge);
-        return;
-      case FrameStatus::kBad:
-        shard.rejected.fetch_add(1, std::memory_order_relaxed);
-        shard.stats_dirty = true;
-        server_->ReportMalformed(RequestDefect::kBadHeader, frame.detail,
-                                 conn->ip);
-        conn->in.clear();
-        RespondAndClose(shard, conn, StatusCode::kBadRequest);
-        return;
-      case FrameStatus::kComplete:
-        break;
+    // Framing is attack surface: ambiguous framing (request smuggling), an
+    // oversized request and a request cut short by EOF are answered here,
+    // before the parser, and reported through the malformed-request hook.
+    const RequestHead head = ScanRequestHead(conn->in);
+    if (head.framing == RequestHead::Framing::kBad) {
+      server_->ReportMalformed(RequestDefect::kBadHeader, head.framing_error,
+                               conn->ip);
+      Reject(shard, conn, StatusCode::kBadRequest);
+      return;
     }
+    const bool head_done = head.framing == RequestHead::Framing::kComplete;
+    if ((head_done ? head.total_bytes() : conn->in.size()) >
+        options_.max_request_bytes) {
+      Reject(shard, conn, StatusCode::kPayloadTooLarge);
+      return;
+    }
+    if (!head_done || conn->in.size() < head.total_bytes()) {
+      if (!conn->read_eof) {
+        UpdateInterest(shard, conn);
+        return;
+      }
+      if (conn->in.empty()) {
+        // Clean end of a keep-alive conversation.
+        if (!conn->HasOutput()) {
+          CloseConn(shard, conn->id);
+        } else {
+          conn->close_after_write = true;
+          UpdateInterest(shard, conn);
+        }
+        return;
+      }
+      // The peer closed mid-request: a truncated head or Content-Length
+      // body.  The fragment must never reach the handler as well-formed.
+      server_->ReportMalformed(
+          RequestDefect::kTruncatedBody,
+          "peer closed after " + std::to_string(conn->in.size()) +
+              " bytes of an incomplete request",
+          conn->ip);
+      Reject(shard, conn, StatusCode::kBadRequest);
+      return;
+    }
+    const std::size_t frame_bytes = head.total_bytes();
 
     // No further request can arrive after EOF with nothing buffered past
     // this frame; tell the client we will close.
-    bool more_possible =
-        !conn->read_eof || conn->in.size() > frame.total_bytes;
-    bool keep = options_.keep_alive && frame.keep_alive && more_possible &&
+    bool more_possible = !conn->read_eof || conn->in.size() > frame_bytes;
+    bool keep = options_.keep_alive && head.keep_alive && more_possible &&
                 conn->served + 1 < options_.max_keepalive_requests;
 
-    // Template tier: anonymous GET/HEAD of a static document on a server
-    // whose controller admits everything unchecked.  The response is
-    // assembled from pre-serialized header templates and a DocTree body
-    // view — zero body copies, and (past warm-up) zero allocations.
-    if (options_.inline_fast_path && frame.inline_candidate) {
-      WebServer::StaticFastResponse fast;
-      if (server_->TryServeStaticFast(frame.method, frame.target, frame.host,
-                                      frame.if_none_match,
-                                      frame.if_modified_since, conn->ip, keep,
-                                      options_.inline_max_response_bytes,
-                                      &fast)) {
-        if (conn->served > 0) {
-          shard.reused.fetch_add(1, std::memory_order_relaxed);
-        }
-        ++conn->served;
-        shard.requests.fetch_add(1, std::memory_order_relaxed);
-        shard.inline_srv.fetch_add(1, std::memory_order_relaxed);
-        shard.stats_dirty = true;
-        conn->in.erase(0, frame.total_bytes);  // frame views dangle here
-        // Only the Date line varies per request; it lives on the
-        // connection's bump arena until the queue drains.
-        char* date = static_cast<char*>(
-            conn->arena.Alloc(HttpDateCache::kLineBytes, 1));
-        std::memcpy(date, fast.date_line, HttpDateCache::kLineBytes);
-        conn->PushView(fast.head_pre);
-        conn->PushView(std::string_view(date, HttpDateCache::kLineBytes));
-        conn->PushView(fast.head_post);
-        if (!fast.body.empty()) conn->PushView(fast.body);
-        if (!keep) conn->close_after_write = true;
-        NoteArena(shard, conn);
-        Touch(shard, conn);
-        std::uint64_t id = conn->id;
-        TryWrite(shard, conn);  // may close the connection
-        auto it = shard.conns.find(id);
-        if (it == shard.conns.end()) return;
-        conn = it->second.get();
-        continue;  // a pipelined request may already be buffered
-      }
+    WebServer::FastPath path = WebServer::FastPath::kWorker;
+    WebServer::StaticFastResponse fast;
+    if (options_.inline_fast_path) {
+      path = server_->AdmitFastPath(head, conn->ip, keep,
+                                    options_.inline_max_response_bytes, &fast);
     }
-
-    if (options_.inline_fast_path && frame.inline_candidate &&
-        server_->InlineFastPathEligible(frame.method, frame.target, frame.host,
-                                        options_.inline_max_response_bytes,
-                                        conn->ip)) {
+    if (path == WebServer::FastPath::kServed) {
+      CountRequest(shard, conn, /*on_loop=*/true);
+      conn->in.erase(0, frame_bytes);  // head views dangle from here on
+      // Only the Date line varies per request; it lives on the
+      // connection's bump arena until the queue drains.
+      char* date = static_cast<char*>(
+          conn->arena.Alloc(HttpDateCache::kLineBytes, 1));
+      std::memcpy(date, fast.date_line, HttpDateCache::kLineBytes);
+      conn->PushView(fast.head_pre);
+      conn->PushView(std::string_view(date, HttpDateCache::kLineBytes));
+      conn->PushView(fast.head_post);
+      if (!fast.body.empty()) conn->PushView(fast.body);
+      if (!keep) conn->close_after_write = true;
+      NoteArena(shard, conn);
+      Touch(shard, conn);
+    } else if (path == WebServer::FastPath::kInline) {
+      ServeInline(shard, conn, frame_bytes, keep);
+    }
+    if (path != WebServer::FastPath::kWorker) {
       std::uint64_t id = conn->id;
-      ServeInline(shard, conn, frame.total_bytes, keep);
       TryWrite(shard, conn);  // may close the connection
       auto it = shard.conns.find(id);
       if (it == shard.conns.end()) return;
@@ -1184,8 +917,8 @@ void TcpServer::TryDispatch(Shard& shard, Connection* conn) {
 
     Job job;
     job.conn_id = conn->id;
-    job.raw = conn->in.substr(0, frame.total_bytes);
-    conn->in.erase(0, frame.total_bytes);
+    job.raw = conn->in.substr(0, frame_bytes);
+    conn->in.erase(0, frame_bytes);
     job.ip = conn->ip;
     job.port = conn->peer_port;
     // Begin the trace at framing so it covers time queued for a worker.
@@ -1200,12 +933,7 @@ void TcpServer::TryDispatch(Shard& shard, Connection* conn) {
     job.keep_alive = keep;
     job.enqueue_us = NowUs();
     conn->busy = true;
-    if (conn->served > 0) {
-      shard.reused.fetch_add(1, std::memory_order_relaxed);
-    }
-    ++conn->served;
-    shard.requests.fetch_add(1, std::memory_order_relaxed);
-    shard.stats_dirty = true;
+    CountRequest(shard, conn, /*on_loop=*/false);
     Touch(shard, conn);
     if (!shard.jobs.Push(std::move(job))) {
       // Structurally unreachable (ring sized past max_connections); shed
@@ -1227,7 +955,7 @@ void TcpServer::TryDispatch(Shard& shard, Connection* conn) {
   }
 }
 
-bool TcpServer::ServeInline(Shard& shard, Connection* conn,
+void TcpServer::ServeInline(Shard& shard, Connection* conn,
                             std::size_t frame_bytes,
                             bool keep_alive_requested) {
   std::string_view raw(conn->in.data(), frame_bytes);
@@ -1243,13 +971,7 @@ bool TcpServer::ServeInline(Shard& shard, Connection* conn,
       trace->CloseSpan(span);
     }
   }
-  if (conn->served > 0) {
-    shard.reused.fetch_add(1, std::memory_order_relaxed);
-  }
-  ++conn->served;
-  shard.requests.fetch_add(1, std::memory_order_relaxed);
-  shard.inline_srv.fetch_add(1, std::memory_order_relaxed);
-  shard.stats_dirty = true;
+  CountRequest(shard, conn, /*on_loop=*/true);
 
   HttpResponse response =
       server_->HandleText(raw, conn->ip, conn->peer_port, std::move(trace));
@@ -1258,7 +980,6 @@ bool TcpServer::ServeInline(Shard& shard, Connection* conn,
   response.headers["Connection"] = close_after ? "close" : "keep-alive";
   EnqueueResponse(shard, conn, response, close_after);
   Touch(shard, conn);
-  return true;
 }
 
 void TcpServer::TryWrite(Shard& shard, Connection* conn) {
@@ -1362,6 +1083,23 @@ void TcpServer::EnqueueResponse(Shard& shard, Connection* conn,
     conn->PushView(response.body_view);
   }
   if (close_after) conn->close_after_write = true;
+}
+
+void TcpServer::Reject(Shard& shard, Connection* conn, StatusCode status) {
+  shard.rejected.fetch_add(1, std::memory_order_relaxed);
+  shard.stats_dirty = true;
+  conn->in.clear();
+  RespondAndClose(shard, conn, status);
+}
+
+void TcpServer::CountRequest(Shard& shard, Connection* conn, bool on_loop) {
+  if (conn->served > 0) {
+    shard.reused.fetch_add(1, std::memory_order_relaxed);
+  }
+  ++conn->served;
+  shard.requests.fetch_add(1, std::memory_order_relaxed);
+  if (on_loop) shard.inline_srv.fetch_add(1, std::memory_order_relaxed);
+  shard.stats_dirty = true;
 }
 
 void TcpServer::RespondAndClose(Shard& shard, Connection* conn,
@@ -1486,10 +1224,7 @@ void TcpServer::OnTimerDue(Shard& shard, std::uint64_t conn_id,
       return;
     }
     // Slow-loris style partial request: answer 408 and drop.
-    shard.rejected.fetch_add(1, std::memory_order_relaxed);
-    shard.stats_dirty = true;
-    conn->in.clear();
-    RespondAndClose(shard, conn, StatusCode::kRequestTimeout);
+    Reject(shard, conn, StatusCode::kRequestTimeout);
     return;
   }
   shard.timed_out.fetch_add(1, std::memory_order_relaxed);

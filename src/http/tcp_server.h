@@ -7,24 +7,24 @@
 //
 //   * N event-loop shards (Options::reactor_shards, default
 //     min(4, hw_concurrency)), each owning its own SO_REUSEPORT listener,
-//     epoll fd, connection table, buffer pool and timeout wheel.  A
-//     connection is owned by exactly one shard for its whole life — its
-//     state is single-threaded by construction, no lock needed.  When
-//     SO_REUSEPORT is unavailable (Options::so_reuseport = false, or the
-//     kernel refuses), shard 0 accepts and round-robins raw fds to the
-//     other shards through lock-free handoff rings.
+//     epoll fd, connection table, buffer pool and timeout wheel.  The
+//     kernel balances accepts across the listeners; Start() fails if it
+//     refuses SO_REUSEPORT.  A connection is owned by exactly one shard for
+//     its whole life — its state is single-threaded by construction, no
+//     lock needed.
 //   * worker handoff is lock-free in the steady state: per-shard bounded
 //     MPMC rings (util::MpmcRing) carry jobs to the shard's workers and
 //     completions back, with an eventfd semaphore waking idle workers and
 //     an eventfd waking the shard loop.  Rings are sized for
 //     max_connections, and a connection has at most one job in flight, so
 //     the job ring cannot overflow by construction.
-//   * inline fast path: when the framed request is a plain anonymous GET
-//     whose access decision is already memoized as a pure terminal YES/NO
-//     and the target is a static document within a byte budget
-//     (WebServer::InlineFastPathEligible), the shard runs the full
-//     pipeline on the event-loop thread — same responses, same audit and
-//     attribution side effects, no worker round trip.
+//   * fast paths: one admission call per framed request
+//     (WebServer::AdmitFastPath) either answers a plain anonymous GET/HEAD
+//     of a static document from pre-serialized templates, or runs the full
+//     pipeline on the event-loop thread when its access decision is
+//     already memoized as a pure terminal YES/NO — same responses, same
+//     audit and attribution side effects, no worker round trip — or sends
+//     the request to a worker.
 //   * responses are written with gathered writes (sendmsg iovecs over
 //     head + body chunks) instead of concatenating one wire string;
 //     per-shard buffer pools recycle connection read buffers.
@@ -34,11 +34,15 @@
 //   * Stop() drains in-flight requests before closing (bounded by
 //     Options::drain_timeout_ms).
 //
-// Request framing (the split of the byte stream into request texts) happens
-// here, before the parser: framing is attack surface (request smuggling,
-// truncated bodies), so ambiguous framing — conflicting Content-Length
-// headers, Transfer-Encoding, bodies cut short by EOF — is rejected at the
-// transport with 400 and reported through the malformed-request hook.
+// Request framing (the split of the byte stream into request texts) uses
+// the same head scanner as the parser (ScanRequestHead, http/request.h), so
+// the two agree on where a request ends and on what its framing headers
+// mean.  Framing is attack surface (request smuggling, truncated
+// bodies): the transport itself rejects only ambiguous framing — a
+// conflicting or unparsable Content-Length, Transfer-Encoding — a request
+// over max_request_bytes, and a body or head cut short by EOF, answering
+// 400/413 and reporting through the malformed-request hook.  Every other
+// defect is the parser's to diagnose, on whichever tier serves the request.
 #pragma once
 
 #include <atomic>
@@ -65,11 +69,6 @@ class TcpServer {
     std::size_t worker_threads = 4;
     /// Event-loop shards; 0 = min(4, hardware_concurrency).
     std::size_t reactor_shards = 0;
-    /// Use per-shard SO_REUSEPORT listeners (kernel-level accept
-    /// balancing).  When false — or when the kernel refuses the option —
-    /// shard 0 owns the only listener and hands accepted fds to the other
-    /// shards round-robin.
-    bool so_reuseport = true;
     /// Serve memoized-decision static-doc GETs directly on the event loop
     /// (see header comment); responses stay byte-identical either way.
     bool inline_fast_path = true;
@@ -219,18 +218,19 @@ class TcpServer {
   static void WakeShard(Shard& shard);
 
   void AcceptNew(Shard& shard);
-  void AdoptFd(Shard& shard, int fd, std::uint32_t ip_host_order,
-               std::uint16_t peer_port, bool shed);
-  void DrainHandoff(Shard& shard);
   void ReadConn(Shard& shard, Connection* conn);
   void TryDispatch(Shard& shard, Connection* conn);
-  bool ServeInline(Shard& shard, Connection* conn, std::size_t frame_bytes,
+  void ServeInline(Shard& shard, Connection* conn, std::size_t frame_bytes,
                    bool keep_alive_requested);
   void TryWrite(Shard& shard, Connection* conn);
   void UpdateInterest(Shard& shard, Connection* conn);
   void EnqueueResponse(Shard& shard, Connection* conn, HttpResponse& response,
                        bool close_after);
   void RespondAndClose(Shard& shard, Connection* conn, StatusCode status);
+  /// A transport-level reject: counted in Stats::rejected, answered, closed.
+  void Reject(Shard& shard, Connection* conn, StatusCode status);
+  /// Count one request served on `conn` (on the event loop or a worker).
+  void CountRequest(Shard& shard, Connection* conn, bool on_loop);
   void CloseConn(Shard& shard, std::uint64_t conn_id);
   void DrainCompletions(Shard& shard);
   void Touch(Shard& shard, Connection* conn);

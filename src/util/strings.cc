@@ -54,10 +54,13 @@ std::vector<std::string> SplitWhitespace(std::string_view s) {
 
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
+  // ASCII folding in place: the transport's head scanner calls this for
+  // every header name, so it avoids a locale lookup per byte.
+  const auto fold = [](char c) {
+    return c >= 'A' && c <= 'Z' ? static_cast<char>(c + ('a' - 'A')) : c;
+  };
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i])))
-      return false;
+    if (fold(a[i]) != fold(b[i])) return false;
   }
   return true;
 }

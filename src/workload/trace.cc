@@ -180,8 +180,8 @@ TraceRequest TraceGenerator::Make(RequestKind kind) {
       break;
     }
     case RequestKind::kSmugglingProbe: {
-      // Conflicting framing headers: two Content-Lengths that disagree
-      // (the classic CL.CL desync probe), or CL alongside a chunked TE.
+      // Conflicting framing headers: two Content-Lengths that disagree,
+      // either both non-zero (the classic CL.CL desync probe) or one zero.
       if (rng_.NextBool(0.5)) {
         out.raw =
             "POST /cgi-bin/search HTTP/1.1\r\nHost: localhost\r\n"
