@@ -25,12 +25,15 @@ EventBus::SubscriptionId EventBus::Subscribe(SubscriptionPolicy policy,
   util::CompiledGlob glob(policy.topic_pattern);
   subs_.emplace(id, Subscription{std::move(policy), std::move(glob),
                                  std::move(callback)});
+  subscribers_.store(subs_.size(), std::memory_order_relaxed);
   return id;
 }
 
 bool EventBus::Unsubscribe(SubscriptionId id) {
   std::lock_guard<std::mutex> lock(mu_);
-  return subs_.erase(id) > 0;
+  const bool erased = subs_.erase(id) > 0;
+  subscribers_.store(subs_.size(), std::memory_order_relaxed);
+  return erased;
 }
 
 void EventBus::Publish(Event event) {
@@ -38,7 +41,6 @@ void EventBus::Publish(Event event) {
   std::vector<EventCallback> targets;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++published_;
     for (auto& [id, sub] : subs_) {
       if (event.severity < sub.policy.min_severity) continue;
       if (!sub.topic_glob.Matches(event.topic)) continue;
@@ -46,12 +48,17 @@ void EventBus::Publish(Event event) {
       ++delivered_;
     }
   }
-  if (published_counter_ != nullptr) published_counter_->Inc();
+  CountPublished();
   if (delivered_counter_ != nullptr && !targets.empty()) {
     delivered_counter_->Inc(targets.size());
   }
   // Deliver outside the lock: callbacks may publish or (un)subscribe.
   for (const auto& cb : targets) cb(event);
+}
+
+void EventBus::CountPublished() {
+  published_.fetch_add(1, std::memory_order_relaxed);
+  if (published_counter_ != nullptr) published_counter_->Inc();
 }
 
 void EventBus::AttachMetrics(telemetry::MetricRegistry* registry) {
@@ -65,13 +72,11 @@ void EventBus::AttachMetrics(telemetry::MetricRegistry* registry) {
 }
 
 std::size_t EventBus::subscriber_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return subs_.size();
+  return subscribers_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t EventBus::published_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return published_;
+  return published_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t EventBus::delivered_count() const {

@@ -8,6 +8,7 @@
 // the "policy-controlled" part.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -54,6 +55,18 @@ class EventBus {
   /// Deliver synchronously to every matching subscriber.
   void Publish(Event event);
 
+  /// Publish the event `make()` returns, calling `make` only when someone is
+  /// subscribed: a publisher with nobody listening builds no event.  The
+  /// publish is counted either way.
+  template <typename MakeEvent>
+  void PublishLazily(MakeEvent&& make) {
+    if (subscribers_.load(std::memory_order_relaxed) == 0) {
+      CountPublished();
+      return;
+    }
+    Publish(make());
+  }
+
   /// Export publish/delivery counts as `ids_events_published_total` /
   /// `ids_events_delivered_total`.  Call before concurrent Publish traffic;
   /// null detaches.
@@ -70,13 +83,16 @@ class EventBus {
     EventCallback callback;
   };
 
+  void CountPublished();
+
   util::Clock* clock_;
   telemetry::Counter* published_counter_ = nullptr;
   telemetry::Counter* delivered_counter_ = nullptr;
+  std::atomic<std::uint64_t> published_{0};
   mutable std::mutex mu_;
   std::map<SubscriptionId, Subscription> subs_;
+  std::atomic<std::size_t> subscribers_{0};  ///< subs_.size(), read unlocked
   SubscriptionId next_id_ = 1;
-  std::uint64_t published_ = 0;
   std::uint64_t delivered_ = 0;
 };
 

@@ -20,6 +20,9 @@ IntrusionDetectionSystem::IntrusionDetectionSystem(
 void IntrusionDetectionSystem::AttachMetrics(
     telemetry::MetricRegistry* registry) {
   metrics_ = registry;
+  for (auto& counter : report_counters_) {
+    counter.store(nullptr, std::memory_order_relaxed);
+  }
   bus_.AttachMetrics(registry);
   threat_.AttachMetrics(registry);
   anomaly_.AttachMetrics(registry);
@@ -30,50 +33,76 @@ void IntrusionDetectionSystem::AttachAudit(core::AuditSink* audit) {
   audit_ = audit;
 }
 
-void IntrusionDetectionSystem::Report(const core::IdsReport& report) {
-  if (metrics_ != nullptr) {
-    metrics_
-        ->GetCounter("ids_reports_total",
-                     std::string("kind=\"") +
-                         core::ReportKindName(report.kind) + "\"")
-        ->Inc();
+std::size_t IntrusionDetectionSystem::KindSlot(core::ReportKind kind) {
+  const auto slot = static_cast<std::size_t>(kind);
+  return slot < kKindSlots ? slot : 0;
+}
+
+telemetry::Counter* IntrusionDetectionSystem::ReportCounterFor(
+    core::ReportKind kind) {
+  if (metrics_ == nullptr) return nullptr;
+  std::atomic<telemetry::Counter*>& slot = report_counters_[KindSlot(kind)];
+  telemetry::Counter* counter = slot.load(std::memory_order_acquire);
+  if (counter == nullptr) {
+    counter = metrics_->GetCounter(
+        "ids_reports_total",
+        std::string("kind=\"") + core::ReportKindName(kind) + "\"");
+    // Release: a thread that loads the handle must also see the counter
+    // the registry constructed behind it.
+    slot.store(counter, std::memory_order_release);
   }
+  return counter;
+}
+
+void IntrusionDetectionSystem::Report(const core::IdsReport& report) {
+  if (telemetry::Counter* counter = ReportCounterFor(report.kind)) {
+    counter->Inc();
+  }
+  kind_counts_[KindSlot(report.kind)].fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    reports_.push_back(report);
+    if (recent_.size() < kRecentReports) {
+      recent_.push_back(report);
+    } else {
+      recent_[recent_next_] = report;
+    }
+    recent_next_ = (recent_next_ + 1) % kRecentReports;
   }
   // Severity-weighted feed into the threat profile; benign pattern reports
   // (item 7) do not escalate.
   if (report.kind != core::ReportKind::kLegitimatePattern) {
-    const core::ThreatLevel before = threat_.level();
-    threat_.ReportAlert(static_cast<double>(report.severity) *
-                        report.confidence);
-    const core::ThreatLevel after = threat_.level();
-    if (audit_ != nullptr && after != before) {
+    const ThreatService::LevelChange change = threat_.ReportAlert(
+        static_cast<double>(report.severity) * report.confidence);
+    // Only the transition this alert made: a concurrent report or a decay
+    // tick changes the level under its own lock and is not blamed here.
+    if (audit_ != nullptr && change.now != change.previous) {
       core::AuditEvent event;
       event.category = "threat";
       event.message = std::string("threat level ") +
-                      core::ThreatLevelName(before) + " -> " +
-                      core::ThreatLevelName(after) + " (trigger: " +
+                      core::ThreatLevelName(change.previous) + " -> " +
+                      core::ThreatLevelName(change.now) + " (trigger: " +
                       core::ReportKindName(report.kind) + ")";
       event.client = report.source_ip;
       audit_->Record(event);
     }
   }
-  Event event;
-  event.topic = std::string("gaa.report.") + core::ReportKindName(report.kind);
-  event.source = "gaa-api";
-  event.severity = report.severity;
-  event.payload = "ip=" + report.source_ip + " object=" + report.object +
-                  " type=" + report.attack_type + " detail=" + report.detail;
-  bus_.Publish(std::move(event));
+  bus_.PublishLazily([&report] {
+    Event event;
+    event.topic =
+        std::string("gaa.report.") + core::ReportKindName(report.kind);
+    event.source = "gaa-api";
+    event.severity = report.severity;
+    event.payload = "ip=" + report.source_ip + " object=" + report.object +
+                    " type=" + report.attack_type + " detail=" + report.detail;
+    return event;
+  });
 
   // Adaptive values track the (possibly just escalated) threat level.
   RecomputeAdaptiveValues();
 }
 
-void IntrusionDetectionSystem::ObserveRequest(const std::string& client_ip,
-                                              const std::string& path,
+void IntrusionDetectionSystem::ObserveRequest(std::string_view client_ip,
+                                              std::string_view path,
                                               util::TimePoint now_us) {
   double severity;
   double threshold;
@@ -84,8 +113,8 @@ void IntrusionDetectionSystem::ObserveRequest(const std::string& client_ip,
     // Differential reference: the exact detector scores the same stream so
     // tests can compare verdicts against the sketch path.
     RequestFeatures features;
-    features.principal = client_ip;
-    features.path = path;
+    features.principal = std::string(client_ip);
+    features.path = std::string(path);
     features.url_depth = static_cast<double>(
         std::count(path.begin(), path.end(), '/'));
     severity = anomaly_.Observe(features);
@@ -94,8 +123,8 @@ void IntrusionDetectionSystem::ObserveRequest(const std::string& client_ip,
   if (severity < threshold) return;
   core::IdsReport report;
   report.kind = core::ReportKind::kSuspiciousBehavior;
-  report.source_ip = client_ip;
-  report.object = path;
+  report.source_ip = std::string(client_ip);
+  report.object = std::string(path);
   report.attack_type = "stream_anomaly";
   report.severity = static_cast<int>(severity);
   report.confidence = 0.8;
@@ -155,21 +184,24 @@ void IntrusionDetectionSystem::RecomputeAdaptiveValues() {
 
 std::vector<core::IdsReport> IntrusionDetectionSystem::ReportsSnapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return reports_;
+  if (recent_.size() < kRecentReports) return recent_;
+  std::vector<core::IdsReport> ordered;
+  ordered.reserve(recent_.size());
+  ordered.insert(ordered.end(), recent_.begin() + recent_next_, recent_.end());
+  ordered.insert(ordered.end(), recent_.begin(), recent_.begin() + recent_next_);
+  return ordered;
 }
 
 std::size_t IntrusionDetectionSystem::report_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return reports_.size();
+  std::size_t n = 0;
+  for (const auto& count : kind_counts_) {
+    n += count.load(std::memory_order_relaxed);
+  }
+  return n;
 }
 
 std::size_t IntrusionDetectionSystem::CountKind(core::ReportKind kind) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  for (const auto& r : reports_) {
-    if (r.kind == kind) ++n;
-  }
-  return n;
+  return kind_counts_[KindSlot(kind)].load(std::memory_order_relaxed);
 }
 
 }  // namespace gaa::ids

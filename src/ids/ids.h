@@ -10,11 +10,14 @@
 //   * anomaly-based detection on top of the signature-based machinery (§9).
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gaa/services.h"
@@ -63,8 +66,9 @@ class IntrusionDetectionSystem final : public core::IdsChannel {
   /// quantile update, safe to call from the transport's inline fast path.
   /// Severities at or above the provider's report threshold become
   /// kSuspiciousBehavior reports (escalating the threat level, which in
-  /// turn fences threat-dependent memo entries).
-  void ObserveRequest(const std::string& client_ip, const std::string& path,
+  /// turn fences threat-dependent memo entries).  Strings are built only
+  /// when a report is raised.
+  void ObserveRequest(std::string_view client_ip, std::string_view path,
                       util::TimePoint now_us);
 
   /// Periodic housekeeping, driven by the transport's shard timer wheel:
@@ -97,11 +101,22 @@ class IntrusionDetectionSystem final : public core::IdsChannel {
   void RecomputeAdaptiveValues();
 
   // --- stats ---------------------------------------------------------------
+  /// The newest kRecentReports (1,024) reports, oldest first.  Counts are not
+  /// limited to these: report_count() and CountKind() cover every report
+  /// ever received.
   std::vector<core::IdsReport> ReportsSnapshot() const;
   std::size_t report_count() const;
   std::size_t CountKind(core::ReportKind kind) const;
 
+  static constexpr std::size_t kRecentReports = 1024;
+
  private:
+  /// Slot per ReportKind value (1..7); slot 0 takes any other value.
+  static constexpr std::size_t kKindSlots = 8;
+  static std::size_t KindSlot(core::ReportKind kind);
+  /// `ids_reports_total{kind=...}`, created on the kind's first report.
+  telemetry::Counter* ReportCounterFor(core::ReportKind kind);
+
   core::SystemState* state_;
   util::Clock* clock_;
   telemetry::MetricRegistry* metrics_ = nullptr;
@@ -112,8 +127,11 @@ class IntrusionDetectionSystem final : public core::IdsChannel {
   sketch::StreamingAnomalyProvider stream_;
   AnomalyMode anomaly_mode_ = AnomalyMode::kStreaming;
   SignatureDb signatures_;
+  std::array<std::atomic<std::uint64_t>, kKindSlots> kind_counts_{};
+  std::array<std::atomic<telemetry::Counter*>, kKindSlots> report_counters_{};
   mutable std::mutex mu_;
-  std::vector<core::IdsReport> reports_;
+  std::vector<core::IdsReport> recent_;  ///< ring once it holds kRecentReports
+  std::size_t recent_next_ = 0;          ///< slot the next report overwrites
   std::set<std::string> spoofed_sources_;
 };
 

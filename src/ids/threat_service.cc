@@ -1,32 +1,64 @@
 #include "ids/threat_service.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "telemetry/metrics.h"
 
 namespace gaa::ids {
 
 using core::ThreatLevel;
 
+namespace {
+
+/// Scores are held as exact integers, so adding and later subtracting an
+/// alert leaves the window sum exactly where it was.
+constexpr double kMicrosPerScore = 1e6;
+/// An alert within window / kSlicesPerWindow of the newest entry's first
+/// alert joins that entry.
+constexpr util::DurationUs kSlicesPerWindow = 64;
+
+}  // namespace
+
 ThreatService::ThreatService(core::SystemState* state, util::Clock* clock,
                              Options options)
     : state_(state), clock_(clock), options_(options) {}
 
-void ThreatService::ReportAlert(double severity) {
-  ThreatLevel now;
+ThreatService::LevelChange ThreatService::ReportAlert(double severity) {
+  LevelChange change{};
   {
     std::lock_guard<std::mutex> lock(mu_);
-    alerts_.emplace_back(clock_->Now(), severity);
+    change.previous = level_;
+    AddAlertLocked(severity);
     RecomputeLocked();
-    now = level_;
+    change.now = level_;
   }
   // Outside the lock: the hook publishes to the cluster bus, and remote
   // processes may call back into ReportRemoteAlert concurrently.
-  if (bus_hook_) bus_hook_(severity, now);
+  if (bus_hook_) bus_hook_(severity, change.now);
+  return change;
 }
 
 void ThreatService::ReportRemoteAlert(double severity) {
   std::lock_guard<std::mutex> lock(mu_);
-  alerts_.emplace_back(clock_->Now(), severity);
+  AddAlertLocked(severity);
   RecomputeLocked();
+}
+
+void ThreatService::AddAlertLocked(double severity) {
+  const util::TimePoint now = clock_->Now();
+  const std::int64_t micros = std::llround(severity * kMicrosPerScore);
+  window_micros_ += micros;
+  if (!alerts_.empty() &&
+      now - alerts_.back().first_us < options_.window_us / kSlicesPerWindow) {
+    Entry& tail = alerts_.back();
+    // The real clock is wall time and can step back; an entry never
+    // expires earlier than an alert it already holds.
+    tail.last_us = std::max(tail.last_us, now);
+    tail.score_micros += micros;
+  } else {
+    alerts_.push_back(Entry{now, now, micros});
+  }
 }
 
 void ThreatService::Tick() {
@@ -68,21 +100,27 @@ ThreatLevel ThreatService::level() const {
 double ThreatService::WindowScore() const {
   std::lock_guard<std::mutex> lock(mu_);
   util::TimePoint cutoff = clock_->Now() - options_.window_us;
-  double score = 0;
-  for (const auto& [t, s] : alerts_) {
-    if (t >= cutoff) score += s;
+  std::int64_t micros = 0;
+  for (const Entry& e : alerts_) {
+    if (e.last_us >= cutoff) micros += e.score_micros;
   }
-  return score;
+  return static_cast<double>(micros) / kMicrosPerScore;
+}
+
+std::size_t ThreatService::window_entries() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return alerts_.size();
 }
 
 void ThreatService::RecomputeLocked() {
   ThreatLevel previous = level_;
   util::TimePoint now = clock_->Now();
-  while (!alerts_.empty() && alerts_.front().first < now - options_.window_us) {
+  while (!alerts_.empty() &&
+         alerts_.front().last_us < now - options_.window_us) {
+    window_micros_ -= alerts_.front().score_micros;
     alerts_.pop_front();
   }
-  double score = 0;
-  for (const auto& [t, s] : alerts_) score += s;
+  const double score = static_cast<double>(window_micros_) / kMicrosPerScore;
 
   ThreatLevel target = ThreatLevel::kLow;
   if (score >= options_.high_score) {

@@ -6,8 +6,14 @@
 // window and maps the score to a level via two thresholds; levels decay
 // back down after a quiet period.  It writes the level into the shared
 // SystemState, where `pre_cond_system_threat_level` reads it.
+//
+// The window sum is kept incrementally in integer micro-units, so an alert
+// costs the same however many came before, and alerts that arrive within
+// one slice (window / 64) of each other share one window entry, so the
+// window's memory is bounded under a flood.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -38,8 +44,16 @@ class ThreatService {
   ThreatService(core::SystemState* state, util::Clock* clock,
                 Options options);
 
-  /// Feed one alert (severity 0..10).  Recomputes and publishes the level.
-  void ReportAlert(double severity);
+  /// The level before and after one alert, both read under the lock that
+  /// applied it.
+  struct LevelChange {
+    core::ThreatLevel previous;
+    core::ThreatLevel now;
+  };
+
+  /// Feed one alert (severity 0..10).  Recomputes and publishes the level,
+  /// and returns the transition this call made (if any).
+  LevelChange ReportAlert(double severity);
 
   /// Feed an alert that originated in *another* process (cluster bus
   /// delivery, DESIGN.md §15).  Identical window/score treatment to
@@ -65,8 +79,21 @@ class ThreatService {
 
   core::ThreatLevel level() const;
   double WindowScore() const;
+  /// Entries the window holds: at most window / slice + 2 (66), whatever
+  /// the alert rate.
+  std::size_t window_entries() const;
 
  private:
+  /// Alerts whose arrival falls within one slice of `first_us` share this
+  /// entry; it expires with its newest alert, so an alert leaves the window
+  /// at most one slice late and never early.
+  struct Entry {
+    util::TimePoint first_us;
+    util::TimePoint last_us;
+    std::int64_t score_micros;
+  };
+
+  void AddAlertLocked(double severity);
   void RecomputeLocked();
   void PublishLevelLocked(core::ThreatLevel previous);
 
@@ -77,7 +104,8 @@ class ThreatService {
   telemetry::Gauge* level_gauge_ = nullptr;
   telemetry::Counter* transitions_ = nullptr;
   mutable std::mutex mu_;
-  std::deque<std::pair<util::TimePoint, double>> alerts_;
+  std::deque<Entry> alerts_;
+  std::int64_t window_micros_ = 0;  ///< sum of alerts_[*].score_micros
   core::ThreatLevel level_ = core::ThreatLevel::kLow;
   util::TimePoint last_escalation_us_ = 0;
 };

@@ -107,7 +107,7 @@ http::AccessController::Verdict GaaAccessController::Check(
     telemetry::Counter* counter =
         method_idx >= 0
             ? decision_counters_[method_idx * 3 + outcome_idx].load(
-                  std::memory_order_relaxed)
+                  std::memory_order_acquire)
             : nullptr;
     if (counter == nullptr) {
       static constexpr const char* kOutcomes[] = {"yes", "no", "maybe"};
@@ -115,8 +115,10 @@ http::AccessController::Verdict GaaAccessController::Check(
           "gaa_decisions_total", "right=\"" + right.value + "\",outcome=\"" +
                                      kOutcomes[outcome_idx] + "\"");
       if (method_idx >= 0) {
+        // Release: a thread that loads the handle must also see the counter
+        // the registry constructed behind it.
         decision_counters_[method_idx * 3 + outcome_idx].store(
-            counter, std::memory_order_relaxed);
+            counter, std::memory_order_release);
       }
     }
     counter->Inc();

@@ -159,8 +159,7 @@ GaaWebServer::GaaWebServer(http::DocTree tree, Options options)
                                        std::string_view target,
                                        util::Ipv4Address client_ip,
                                        int /*status*/) {
-    ids_->ObserveRequest(client_ip.ToString(), std::string(target),
-                         clock_->Now());
+    ids_->ObserveRequest(client_ip.ToString(), target, clock_->Now());
   });
 
   if (options_.watchdog.enabled && options_.enable_telemetry) {
