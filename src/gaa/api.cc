@@ -73,11 +73,6 @@ util::VoidResult GaaApi::Initialize(const RoutineCatalog& catalog,
   return install(local_cfg.value());
 }
 
-eacl::ComposedPolicy GaaApi::GetObjectPolicyInfo(
-    const std::string& object_path) {
-  return GetObjectPolicyInfo(object_path, {});
-}
-
 eacl::ComposedPolicy GaaApi::GetObjectPolicyInfo(const std::string& object_path,
                                                  std::string_view tenant) {
   if (cache_enabled_) {
@@ -91,11 +86,11 @@ eacl::ComposedPolicy GaaApi::GetObjectPolicyInfo(const std::string& object_path,
       return *std::move(cached);
     }
     eacl::ComposedPolicy composed =
-        store_->PoliciesForTenant(tenant, object_path);
+        store_->PoliciesFor(object_path, tenant);
     cache_.Put(cache_key, version, composed);
     return composed;
   }
-  return store_->PoliciesForTenant(tenant, object_path);
+  return store_->PoliciesFor(object_path, tenant);
 }
 
 telemetry::Counter* GaaApi::EntryCounter(const std::string& policy, int entry,

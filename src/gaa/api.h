@@ -144,12 +144,10 @@ class GaaApi {
   EvalServices& services() { return services_; }
 
   // --- phase 2a -----------------------------------------------------------
-  eacl::ComposedPolicy GetObjectPolicyInfo(const std::string& object_path);
-
-  /// Tenant-scoped retrieval: the tenant's namespace (globals + tenant
-  /// layer) composed for `object_path`.  "" is the default namespace.
+  /// The `tenant` namespace's policies (globals + tenant layer) composed
+  /// for `object_path`.  "" is the default namespace.
   eacl::ComposedPolicy GetObjectPolicyInfo(const std::string& object_path,
-                                           std::string_view tenant);
+                                           std::string_view tenant = {});
 
   // --- phase 2c -----------------------------------------------------------
   AuthzResult CheckAuthorization(const eacl::ComposedPolicy& policy,
@@ -195,15 +193,8 @@ class GaaApi {
   /// memo — i.e. a pure terminal YES/NO is already cached against the
   /// current snapshot.  Side-effect free and lock-free; false on any doubt
   /// (stale snapshot, cache disabled, interpreter mode), in which case the
-  /// caller takes the ordinary worker path.
-  bool DecisionIsMemoized(const std::string& object_path,
-                          const RequestedRight& right,
-                          util::Ipv4Address client_ip) const {
-    return DecisionIsMemoized(object_path, right, client_ip, {});
-  }
-
-  /// Tenant-scoped probe: checks the tenant's snapshot and the memo keyed
-  /// under its namespace ("" = default, identical to the overload above).
+  /// caller takes the ordinary worker path.  Checks the `tenant`
+  /// namespace's snapshot and the memo keyed under it ("" = default).
   bool DecisionIsMemoized(const std::string& object_path,
                           const RequestedRight& right,
                           util::Ipv4Address client_ip,

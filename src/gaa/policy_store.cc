@@ -8,27 +8,31 @@
 #include "util/config.h"
 
 namespace gaa::core {
+namespace {
+
+/// A local-policy prefix spelled the way DirectoryChain yields directories
+/// ("/", "/private"), or nullopt when it can never match one.
+std::optional<std::string> CanonicalPrefix(std::string_view prefix) {
+  std::string key = prefix.empty() ? "/" : std::string(prefix);
+  while (key.size() > 1 && key.back() == '/') key.pop_back();
+  if (key.front() != '/') return std::nullopt;
+  return key;
+}
+
+util::VoidResult Status(const util::Result<bool>& changed) {
+  if (!changed.ok()) return changed.error();
+  return util::VoidResult::Ok();
+}
+
+}  // namespace
 
 util::VoidResult PolicyStore::AddSystemPolicy(const std::string& eacl_text) {
-  return AddSystemPolicyNamed(eacl_text, "");
+  return AddTenantSystemPolicy("", eacl_text);
 }
 
 util::VoidResult PolicyStore::AddSystemPolicyNamed(const std::string& eacl_text,
                                                    const std::string& name) {
-  auto parsed = eacl::ParseEacl(eacl_text);
-  if (!parsed.ok()) return parsed.error();
-  auto valid = eacl::Validate(parsed.value());
-  if (!valid.ok()) return valid.error();
-  std::lock_guard<std::mutex> lock(mu_);
-  system_policies_.push_back(std::move(parsed).take());
-  system_texts_.push_back(eacl_text);
-  system_names_.push_back(
-      name.empty() ? "system#" + std::to_string(system_policies_.size() - 1)
-                   : name);
-  version_.fetch_add(1);
-  default_version_.fetch_add(1, std::memory_order_release);
-  RepublishAllLocked();
-  return util::VoidResult::Ok();
+  return AddTenantSystemPolicy("", eacl_text, name);
 }
 
 util::VoidResult PolicyStore::AddSystemPolicyFile(const std::string& path) {
@@ -46,48 +50,115 @@ util::VoidResult PolicyStore::SetLocalPolicyFile(const std::string& dir_prefix,
 
 util::VoidResult PolicyStore::SetLocalPolicy(const std::string& dir_prefix,
                                              const std::string& eacl_text) {
-  auto parsed = eacl::ParseEacl(eacl_text);
-  if (!parsed.ok()) return parsed.error();
-  auto valid = eacl::Validate(parsed.value());
-  if (!valid.ok()) return valid.error();
-  std::string key = dir_prefix.empty() ? "/" : dir_prefix;
-  std::lock_guard<std::mutex> lock(mu_);
-  local_policies_[key] = std::move(parsed).take();
-  local_texts_[key] = eacl_text;
-  version_.fetch_add(1);
-  default_version_.fetch_add(1, std::memory_order_release);
-  RepublishAllLocked();
-  return util::VoidResult::Ok();
+  return SetTenantLocalPolicy("", dir_prefix, eacl_text);
 }
 
 bool PolicyStore::RemoveLocalPolicy(const std::string& dir_prefix) {
-  std::string key = dir_prefix.empty() ? "/" : dir_prefix;
-  std::lock_guard<std::mutex> lock(mu_);
-  bool removed = local_policies_.erase(key) > 0;
-  removed = local_texts_.erase(key) > 0 || removed;
-  // Republish even when nothing was erased: the bump + rebuild must track
-  // *any* divergence between the source maps and the published snapshot
-  // (the text and parsed maps are erased separately above, so gating the
-  // rebuild on just one of them is exactly the staleness bug this funnels
-  // away from).
-  version_.fetch_add(1);
-  default_version_.fetch_add(1, std::memory_order_release);
-  RepublishAllLocked();
-  return removed;
+  return RemoveTenantLocalPolicy("", dir_prefix);
 }
 
-void PolicyStore::Clear() {
+void PolicyStore::Clear() { (void)Mutate(Op::kClear, ""); }
+
+util::VoidResult PolicyStore::AddTenant(const std::string& tenant) {
+  if (tenant.empty()) {
+    return util::VoidResult(util::ErrorCode::kInvalidArgument,
+                            "tenant name must be non-empty (\"\" is the "
+                            "default namespace)");
+  }
+  return Status(Mutate(Op::kAddTenant, tenant));
+}
+
+bool PolicyStore::RemoveTenant(const std::string& tenant) {
+  return !tenant.empty() &&
+         Mutate(Op::kRemoveTenant, tenant).value_or(false);
+}
+
+util::VoidResult PolicyStore::AddTenantSystemPolicy(const std::string& tenant,
+                                                    const std::string& eacl_text,
+                                                    const std::string& name) {
+  return Status(Mutate(Op::kAddSystem, tenant, name, &eacl_text));
+}
+
+util::VoidResult PolicyStore::SetTenantLocalPolicy(const std::string& tenant,
+                                                   const std::string& dir_prefix,
+                                                   const std::string& eacl_text) {
+  return Status(Mutate(Op::kSetLocal, tenant, dir_prefix, &eacl_text));
+}
+
+bool PolicyStore::RemoveTenantLocalPolicy(const std::string& tenant,
+                                          const std::string& dir_prefix) {
+  return Mutate(Op::kRemoveLocal, tenant, dir_prefix).value_or(false);
+}
+
+util::Result<bool> PolicyStore::Mutate(Op op, std::string_view tenant,
+                                       std::string_view arg,
+                                       const std::string* text) {
+  std::string prefix;
+  if (op == Op::kSetLocal || op == Op::kRemoveLocal) {
+    std::optional<std::string> canonical = CanonicalPrefix(arg);
+    if (!canonical.has_value()) {
+      return util::Error(util::ErrorCode::kInvalidArgument,
+                         "local-policy prefix must start with '/': \"" +
+                             std::string(arg) + "\"");
+    }
+    prefix = std::move(*canonical);
+  }
+  Policy policy;
+  if (text != nullptr) {
+    auto parsed = eacl::ParseEacl(*text);
+    if (!parsed.ok()) return parsed.error();
+    auto valid = eacl::Validate(parsed.value());
+    if (!valid.ok()) return valid.error();
+    policy = Policy{.eacl = std::move(parsed).take(),
+                    .text = *text,
+                    .name = op == Op::kSetLocal ? "local:" + prefix
+                                                : std::string(arg)};
+  }
+
   std::lock_guard<std::mutex> lock(mu_);
-  system_policies_.clear();
-  system_texts_.clear();
-  system_names_.clear();
-  local_policies_.clear();
-  local_texts_.clear();
-  tenants_.clear();
-  version_.fetch_add(1);
-  default_version_.fetch_add(1, std::memory_order_release);
-  tenant_version_.fetch_add(1, std::memory_order_release);
-  RepublishAllLocked();
+  Layer* layer = &global_;
+  auto it = tenants_.end();
+  if (!tenant.empty()) {
+    it = tenants_.find(tenant);
+    if (it == tenants_.end()) {
+      // Removing from an unknown tenant changes nothing; any other edit
+      // creates the tenant's (empty) layer first.
+      if (op == Op::kRemoveLocal || op == Op::kRemoveTenant) return false;
+      it = tenants_.emplace(std::string(tenant), Layer{}).first;
+    } else if (op == Op::kAddTenant) {
+      return false;  // idempotent
+    }
+    layer = &it->second;
+  }
+  switch (op) {
+    case Op::kAddSystem:
+      // Positional default names restart per layer: two tenants installing
+      // the same boilerplate text get the same (structure, name) pair and
+      // intern to ONE compiled object in the IrStore.
+      if (policy.name.empty()) {
+        policy.name = "system#" + std::to_string(layer->system.size());
+      }
+      layer->system.push_back(std::move(policy));
+      break;
+    case Op::kSetLocal:
+      layer->locals[prefix] = std::move(policy);
+      break;
+    case Op::kRemoveLocal:
+      if (layer->locals.erase(prefix) == 0) return false;
+      break;
+    case Op::kAddTenant:
+      break;  // the layer was created above
+    case Op::kRemoveTenant:
+      tenants_.erase(it);
+      break;
+    case Op::kClear:
+      global_ = Layer{};
+      tenants_.clear();
+      break;
+  }
+  version_.fetch_add(1, std::memory_order_acq_rel);
+  RepublishLocked(tenant);
+  return true;
 }
 
 std::vector<std::string> PolicyStore::DirectoryChain(
@@ -105,78 +176,77 @@ std::vector<std::string> PolicyStore::DirectoryChain(
   return chain;
 }
 
-eacl::ComposedPolicy PolicyStore::PoliciesFor(
-    const std::string& object_path) const {
-  std::vector<eacl::Eacl> system_list;
-  std::vector<eacl::Eacl> local_list;
-  std::vector<std::string> system_names;
-  std::vector<std::string> local_names;
-  if (parse_on_retrieve_.load()) {
-    // Paper-faithful mode: read and translate the policy text per request
-    // (gaa_get_object_policy_info "reads the system-wide policy file,
-    // converts it to the internal EACL representation...").
-    std::vector<std::string> system_texts;
-    std::vector<std::string> local_texts;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      system_texts = system_texts_;
-      system_names = system_names_;
-      for (const auto& dir : DirectoryChain(object_path)) {
-        auto it = local_texts_.find(dir);
-        if (it != local_texts_.end()) {
-          local_texts.push_back(it->second);
-          local_names.push_back("local:" + it->first);
-        }
+PolicyStore::View PolicyStore::ViewLocked(
+    const Layer* tenant, const std::string* object_path) const {
+  View view;
+  for (const Policy& p : global_.system) view.system.push_back(&p);
+  if (tenant != nullptr) {
+    for (const Policy& p : tenant->system) view.system.push_back(&p);
+  }
+  // A tenant local shadows the global local at the same prefix.
+  auto add_local = [&](const std::string& prefix) {
+    if (tenant != nullptr) {
+      auto it = tenant->locals.find(prefix);
+      if (it != tenant->locals.end()) {
+        view.locals.emplace_back(it->first, &it->second);
+        return;
       }
     }
-    for (const auto& text : system_texts) {
-      auto parsed = eacl::ParseEacl(text);
-      if (parsed.ok()) system_list.push_back(std::move(parsed).take());
+    auto it = global_.locals.find(prefix);
+    if (it != global_.locals.end()) {
+      view.locals.emplace_back(it->first, &it->second);
     }
-    for (const auto& text : local_texts) {
-      auto parsed = eacl::ParseEacl(text);
-      if (parsed.ok()) local_list.push_back(std::move(parsed).take());
+  };
+  if (object_path != nullptr) {
+    for (const auto& dir : DirectoryChain(*object_path)) add_local(dir);
+    return view;
+  }
+  for (const auto& [prefix, p] : global_.locals) add_local(prefix);
+  if (tenant != nullptr) {
+    for (const auto& [prefix, p] : tenant->locals) {
+      if (!global_.locals.contains(prefix)) {
+        view.locals.emplace_back(prefix, &p);
+      }
     }
-  } else {
+  }
+  return view;
+}
+
+eacl::ComposedPolicy PolicyStore::PoliciesFor(const std::string& object_path,
+                                              std::string_view tenant) const {
+  const bool reparse = parse_on_retrieve_.load();
+  std::vector<eacl::Eacl> lists[2];
+  std::vector<std::string> names[2];
+  std::vector<std::string> texts[2];
+  {
     std::lock_guard<std::mutex> lock(mu_);
-    system_list = system_policies_;
-    system_names = system_names_;
-    for (const auto& dir : DirectoryChain(object_path)) {
-      auto it = local_policies_.find(dir);
-      if (it != local_policies_.end()) {
-        local_list.push_back(it->second);
-        local_names.push_back("local:" + it->first);
+    // "" is never a tenant key, so it resolves to the global layer alone,
+    // and so does an unknown tenant.
+    auto it = tenants_.find(tenant);
+    const View view = ViewLocked(
+        it == tenants_.end() ? nullptr : &it->second, &object_path);
+    auto take = [&](int i, const Policy& p) {
+      names[i].push_back(p.name);
+      if (reparse) {
+        texts[i].push_back(p.text);
+      } else {
+        lists[i].push_back(p.eacl);
       }
+    };
+    for (const Policy* p : view.system) take(0, *p);
+    for (const auto& [prefix, p] : view.locals) take(1, *p);
+  }
+  // Paper-faithful mode: read and translate the policy text per request
+  // (gaa_get_object_policy_info "reads the system-wide policy file,
+  // converts it to the internal EACL representation...").
+  for (int i = 0; i < 2; ++i) {
+    for (const auto& text : texts[i]) {
+      auto parsed = eacl::ParseEacl(text);
+      if (parsed.ok()) lists[i].push_back(std::move(parsed).take());
     }
   }
-  return eacl::Compose(std::move(system_list), std::move(local_list),
-                       std::move(system_names), std::move(local_names));
-}
-
-// --- tenant namespaces (DESIGN.md §14) --------------------------------------
-
-util::VoidResult PolicyStore::AddTenant(const std::string& tenant) {
-  if (tenant.empty()) {
-    return util::VoidResult(util::ErrorCode::kInvalidArgument,
-                            "tenant name must be non-empty (\"\" is the "
-                            "default namespace)");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = tenants_.try_emplace(tenant);
-  if (!inserted) return util::VoidResult::Ok();  // idempotent
-  version_.fetch_add(1);
-  tenant_version_.fetch_add(1, std::memory_order_release);
-  RepublishTenantLocked(tenant);
-  return util::VoidResult::Ok();
-}
-
-bool PolicyStore::RemoveTenant(const std::string& tenant) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (tenants_.erase(tenant) == 0) return false;
-  version_.fetch_add(1);
-  tenant_version_.fetch_add(1, std::memory_order_release);
-  SwapTenantTableLocked(tenant, nullptr);
-  return true;
+  return eacl::Compose(std::move(lists[0]), std::move(lists[1]),
+                       std::move(names[0]), std::move(names[1]));
 }
 
 bool PolicyStore::HasTenant(std::string_view tenant) const {
@@ -188,7 +258,7 @@ std::vector<std::string> PolicyStore::TenantNames() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;
   names.reserve(tenants_.size());
-  for (const auto& [name, sources] : tenants_) names.push_back(name);
+  for (const auto& [name, layer] : tenants_) names.push_back(name);
   return names;
 }
 
@@ -197,129 +267,25 @@ std::size_t PolicyStore::tenant_count() const {
   return tenants_.size();
 }
 
-util::VoidResult PolicyStore::AddTenantSystemPolicy(const std::string& tenant,
-                                                    const std::string& eacl_text,
-                                                    const std::string& name) {
-  if (tenant.empty()) return AddSystemPolicyNamed(eacl_text, name);
-  auto parsed = eacl::ParseEacl(eacl_text);
-  if (!parsed.ok()) return parsed.error();
-  auto valid = eacl::Validate(parsed.value());
-  if (!valid.ok()) return valid.error();
-  std::lock_guard<std::mutex> lock(mu_);
-  TenantSources& src = tenants_[tenant];
-  src.system_policies.push_back(std::move(parsed).take());
-  src.system_texts.push_back(eacl_text);
-  // Positional default names deliberately restart per tenant: two tenants
-  // installing the same boilerplate text get the same (structure, name)
-  // pair and intern to ONE compiled object in the IrStore.
-  src.system_names.push_back(
-      name.empty() ? "system#" + std::to_string(src.system_policies.size() - 1)
-                   : name);
-  version_.fetch_add(1);
-  tenant_version_.fetch_add(1, std::memory_order_release);
-  RepublishTenantLocked(tenant);
-  return util::VoidResult::Ok();
-}
-
-util::VoidResult PolicyStore::SetTenantLocalPolicy(const std::string& tenant,
-                                                   const std::string& dir_prefix,
-                                                   const std::string& eacl_text) {
-  if (tenant.empty()) return SetLocalPolicy(dir_prefix, eacl_text);
-  auto parsed = eacl::ParseEacl(eacl_text);
-  if (!parsed.ok()) return parsed.error();
-  auto valid = eacl::Validate(parsed.value());
-  if (!valid.ok()) return valid.error();
-  std::string key = dir_prefix.empty() ? "/" : dir_prefix;
-  std::lock_guard<std::mutex> lock(mu_);
-  TenantSources& src = tenants_[tenant];
-  src.local_policies[key] = std::move(parsed).take();
-  src.local_texts[key] = eacl_text;
-  version_.fetch_add(1);
-  tenant_version_.fetch_add(1, std::memory_order_release);
-  RepublishTenantLocked(tenant);
-  return util::VoidResult::Ok();
-}
-
-bool PolicyStore::RemoveTenantLocalPolicy(const std::string& tenant,
-                                          const std::string& dir_prefix) {
-  if (tenant.empty()) return RemoveLocalPolicy(dir_prefix);
-  std::string key = dir_prefix.empty() ? "/" : dir_prefix;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) return false;
-  bool removed = it->second.local_policies.erase(key) > 0;
-  removed = it->second.local_texts.erase(key) > 0 || removed;
-  // Same unconditional-republish funnel as the global mutators.
-  version_.fetch_add(1);
-  tenant_version_.fetch_add(1, std::memory_order_release);
-  RepublishTenantLocked(tenant);
-  return removed;
-}
-
 std::vector<PolicyStore::TenantInfo> PolicyStore::TenantInfos() const {
-  std::shared_ptr<const TenantTable> table =
-      tenant_table_.load(std::memory_order_acquire);
+  std::shared_ptr<const Table> table = table_.load(std::memory_order_acquire);
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<TenantInfo> out;
   out.reserve(tenants_.size());
-  for (const auto& [name, src] : tenants_) {
+  for (const auto& [name, layer] : tenants_) {
     TenantInfo info;
     info.name = name;
-    info.system_policies = src.system_policies.size();
-    info.local_policies = src.local_policies.size();
+    info.system_policies = layer.system.size();
+    info.local_policies = layer.locals.size();
     if (table != nullptr) {
-      auto it = table->snapshots.find(name);
-      if (it != table->snapshots.end()) {
+      auto it = table->tenants.find(name);
+      if (it != table->tenants.end()) {
         info.snapshot_version = it->second->store_version();
       }
     }
     out.push_back(std::move(info));
   }
   return out;
-}
-
-eacl::ComposedPolicy PolicyStore::PoliciesForTenant(
-    std::string_view tenant, const std::string& object_path) const {
-  if (tenant.empty()) return PoliciesFor(object_path);
-  std::vector<eacl::Eacl> system_list;
-  std::vector<eacl::Eacl> local_list;
-  std::vector<std::string> system_names;
-  std::vector<std::string> local_names;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = tenants_.find(tenant);
-    if (it == tenants_.end()) {
-      // Unknown tenant: fall back to the default namespace (under the lock
-      // we cannot call PoliciesFor, so duplicate its parsed-mode gather).
-    }
-    const TenantSources* src = it == tenants_.end() ? nullptr : &it->second;
-    system_list = system_policies_;
-    system_names = system_names_;
-    if (src != nullptr) {
-      for (std::size_t i = 0; i < src->system_policies.size(); ++i) {
-        system_list.push_back(src->system_policies[i]);
-        system_names.push_back(src->system_names[i]);
-      }
-    }
-    for (const auto& dir : DirectoryChain(object_path)) {
-      // Tenant local shadows the global local at the same prefix.
-      if (src != nullptr) {
-        auto tl = src->local_policies.find(dir);
-        if (tl != src->local_policies.end()) {
-          local_list.push_back(tl->second);
-          local_names.push_back("local:" + tl->first);
-          continue;
-        }
-      }
-      auto gl = local_policies_.find(dir);
-      if (gl != local_policies_.end()) {
-        local_list.push_back(gl->second);
-        local_names.push_back("local:" + gl->first);
-      }
-    }
-  }
-  return eacl::Compose(std::move(system_list), std::move(local_list),
-                       std::move(system_names), std::move(local_names));
 }
 
 eacl::CompiledComposition PolicySnapshot::ForPath(
@@ -341,27 +307,44 @@ void PolicyStore::BindEngine(EngineBinding binding) {
   std::lock_guard<std::mutex> lock(mu_);
   binding_ = binding;
   ir_store_.AttachMetrics(binding.metrics);
-  RepublishAllLocked();
+  RepublishLocked("");
 }
 
-std::shared_ptr<const PolicySnapshot> PolicyStore::FreshSnapshot(
-    const ConditionRegistry* registry, std::uint64_t registry_version) {
+const std::shared_ptr<const PolicySnapshot>& PolicyStore::Table::Find(
+    std::string_view tenant) const {
+  if (!tenant.empty()) {
+    auto it = tenants.find(tenant);
+    if (it != tenants.end()) return it->second;
+  }
+  return fallback;
+}
+
+std::shared_ptr<const PolicySnapshot> PolicyStore::CurrentSnapshotFor(
+    std::string_view tenant) const {
+  std::shared_ptr<const Table> table = table_.load(std::memory_order_acquire);
+  if (table == nullptr) return nullptr;
+  return table->Find(tenant);
+}
+
+std::shared_ptr<const PolicySnapshot> PolicyStore::FreshSnapshotFor(
+    std::string_view tenant, const ConditionRegistry* registry,
+    std::uint64_t registry_version) {
   if (parse_on_retrieve_.load(std::memory_order_relaxed)) return nullptr;
-  std::shared_ptr<const PolicySnapshot> snap =
-      snapshot_.load(std::memory_order_acquire);
-  if (snap != nullptr && snap->compiled_for() == registry &&
-      snap->registry_version() == registry_version &&
-      snap->source_version() ==
-          default_version_.load(std::memory_order_acquire)) {
-    // Hot path: one atomic shared_ptr load plus one counter compare.  The
-    // source_version check is the staleness regression guard: a snapshot
-    // that lags its sources (a mutator that forgot to republish) is
-    // recompiled here instead of being served forever.
-    return snap;
+  std::shared_ptr<const Table> table = table_.load(std::memory_order_acquire);
+  if (table != nullptr &&
+      table->version == version_.load(std::memory_order_acquire)) {
+    // Hot path: one atomic shared_ptr load plus compares.  The version
+    // check is the staleness regression guard: a table that lags its
+    // sources (a mutation that forgot to republish) is rebuilt below
+    // instead of being served forever.
+    const std::shared_ptr<const PolicySnapshot>& snap = table->Find(tenant);
+    if (snap->compiled_for() == registry &&
+        snap->registry_version() == registry_version) {
+      return snap;
+    }
   }
   // Cold path: routines were (un)registered since the last compile, the
-  // snapshot lags the sources, or another GaaApi rebound the store.
-  // Recompile under the mutex.
+  // table lags the sources, or another GaaApi rebound the store.
   std::lock_guard<std::mutex> lock(mu_);
   if (binding_.registry != registry) {
     // Engine bound elsewhere (e.g. two APIs sharing one store): serving a
@@ -369,71 +352,13 @@ std::shared_ptr<const PolicySnapshot> PolicyStore::FreshSnapshot(
     // wrong routines.  Fall back to the interpreter.
     return nullptr;
   }
-  snap = snapshot_.load(std::memory_order_acquire);
-  if (snap == nullptr ||
-      snap->registry_version() != binding_.registry->change_version() ||
-      snap->source_version() !=
-          default_version_.load(std::memory_order_acquire)) {
-    RepublishAllLocked();
-    snap = snapshot_.load(std::memory_order_acquire);
+  table = table_.load(std::memory_order_acquire);
+  if (table == nullptr || table->version != version_.load() ||
+      table->Find(tenant)->registry_version() != registry->change_version()) {
+    RepublishLocked("");
+    table = table_.load(std::memory_order_acquire);
   }
-  return snap;
-}
-
-std::shared_ptr<const PolicySnapshot> PolicyStore::CurrentSnapshotFor(
-    std::string_view tenant) const {
-  if (!tenant.empty()) {
-    std::shared_ptr<const TenantTable> table =
-        tenant_table_.load(std::memory_order_acquire);
-    if (table != nullptr) {
-      auto it = table->snapshots.find(tenant);
-      if (it != table->snapshots.end()) return it->second;
-    }
-  }
-  return CurrentSnapshot();
-}
-
-std::shared_ptr<const PolicySnapshot> PolicyStore::FreshSnapshotFor(
-    std::string_view tenant, const ConditionRegistry* registry,
-    std::uint64_t registry_version) {
-  if (tenant.empty()) return FreshSnapshot(registry, registry_version);
-  if (parse_on_retrieve_.load(std::memory_order_relaxed)) return nullptr;
-  std::shared_ptr<const TenantTable> table =
-      tenant_table_.load(std::memory_order_acquire);
-  if (table != nullptr &&
-      table->source_version ==
-          tenant_version_.load(std::memory_order_acquire)) {
-    auto it = table->snapshots.find(tenant);
-    if (it == table->snapshots.end()) {
-      // Unknown tenant: governed by the default namespace.
-      return FreshSnapshot(registry, registry_version);
-    }
-    const auto& snap = it->second;
-    if (snap->compiled_for() == registry &&
-        snap->registry_version() == registry_version) {
-      return snap;  // hot path: two atomic loads, no lock
-    }
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (binding_.registry != registry) return nullptr;
-  table = tenant_table_.load(std::memory_order_acquire);
-  bool stale =
-      table == nullptr ||
-      table->source_version != tenant_version_.load(std::memory_order_acquire);
-  if (!stale) {
-    auto it = table->snapshots.find(tenant);
-    stale = it != table->snapshots.end() &&
-            it->second->registry_version() != binding_.registry->change_version();
-  }
-  if (stale) {
-    RepublishAllLocked();
-    table = tenant_table_.load(std::memory_order_acquire);
-  }
-  if (table != nullptr) {
-    auto it = table->snapshots.find(tenant);
-    if (it != table->snapshots.end()) return it->second;
-  }
-  return FreshSnapshot(registry, registry_version);
+  return table->Find(tenant);
 }
 
 std::uint64_t PolicyStore::CompileEnvKeyLocked() const {
@@ -447,131 +372,85 @@ std::uint64_t PolicyStore::CompileEnvKeyLocked() const {
 }
 
 std::shared_ptr<const PolicySnapshot> PolicyStore::BuildSnapshotLocked(
-    const std::string& tenant_name, const TenantSources* tenant) {
+    const std::string& name, const Layer* tenant) {
   auto snap = std::make_shared<PolicySnapshot>();
   snap->store_version_ = version_.load();
   snap->registry_version_ = binding_.registry->change_version();
-  snap->source_version_ =
-      tenant == nullptr ? default_version_.load(std::memory_order_acquire)
-                        : tenant_version_.load(std::memory_order_acquire);
   snap->compiled_for_ = binding_.registry;
-  snap->tenant_ = tenant_name;
+  snap->tenant_ = name;
 
   eacl::CompileEnv env{binding_.registry, binding_.metrics};
   const std::uint64_t env_key = CompileEnvKeyLocked();
-  auto intern = [&](const eacl::Eacl& policy, const std::string& name) {
-    return ir_store_.Intern(policy, name, env, env_key);
+  auto intern = [&](const Policy& p) {
+    return ir_store_.Intern(p.eacl, p.name, env, env_key);
   };
-
+  const View view = ViewLocked(tenant, nullptr);
   // Effective composition mode mirrors eacl::Compose: the first system
-  // policy declaring one wins; default narrow.  Tenant system policies
-  // evaluate after the globals, so globals also win the mode.
-  snap->mode_ = eacl::CompositionMode::kNarrow;
+  // policy declaring one wins (globals come first); default narrow.
   bool mode_set = false;
-  snap->system_.reserve(system_policies_.size() +
-                        (tenant != nullptr ? tenant->system_policies.size()
-                                           : 0));
-  for (std::size_t i = 0; i < system_policies_.size(); ++i) {
-    if (!mode_set && system_policies_[i].mode.has_value()) {
-      snap->mode_ = *system_policies_[i].mode;
+  snap->system_.reserve(view.system.size());
+  for (const Policy* p : view.system) {
+    if (!mode_set && p->eacl.mode.has_value()) {
+      snap->mode_ = *p->eacl.mode;
       mode_set = true;
     }
-    snap->system_.push_back(intern(system_policies_[i], system_names_[i]));
+    snap->system_.push_back(intern(*p));
   }
-  for (const auto& [prefix, policy] : local_policies_) {
-    snap->locals_[prefix] = intern(policy, "local:" + prefix);
-  }
-  if (tenant != nullptr) {
-    for (std::size_t i = 0; i < tenant->system_policies.size(); ++i) {
-      if (!mode_set && tenant->system_policies[i].mode.has_value()) {
-        snap->mode_ = *tenant->system_policies[i].mode;
-        mode_set = true;
-      }
-      snap->system_.push_back(
-          intern(tenant->system_policies[i], tenant->system_names[i]));
-    }
-    // Overlay: a tenant local replaces the global local at its prefix.
-    for (const auto& [prefix, policy] : tenant->local_policies) {
-      snap->locals_[prefix] = intern(policy, "local:" + prefix);
-    }
+  for (const auto& [prefix, p] : view.locals) {
+    snap->locals_.emplace(prefix, intern(*p));
   }
   return snap;
 }
 
-void PolicyStore::SwapTenantTableLocked(
-    const std::string& tenant, std::shared_ptr<const PolicySnapshot> snap) {
-  auto table = std::make_shared<TenantTable>();
-  std::shared_ptr<const TenantTable> prev =
-      tenant_table_.load(std::memory_order_acquire);
-  if (prev != nullptr) table->snapshots = prev->snapshots;
-  auto it = table->snapshots.find(tenant);
-  if (it != table->snapshots.end()) {
-    retired_.push_back(it->second);
-    table->snapshots.erase(it);
-  }
-  if (snap != nullptr) table->snapshots[tenant] = std::move(snap);
-  table->source_version = tenant_version_.load(std::memory_order_acquire);
-  tenant_table_.store(std::shared_ptr<const TenantTable>(std::move(table)),
-                      std::memory_order_release);
-  ReclaimRetiredLocked();
-}
-
-void PolicyStore::RepublishTenantLocked(const std::string& tenant) {
-  if (binding_.registry == nullptr) return;
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) {
-    SwapTenantTableLocked(tenant, nullptr);
-    return;
-  }
-  util::Stopwatch sw;
-  std::shared_ptr<const PolicySnapshot> snap =
-      BuildSnapshotLocked(tenant, &it->second);
-  if (binding_.metrics != nullptr) {
-    binding_.metrics->GetHistogram("gaa_policy_compile_us")
-        ->Record(static_cast<std::uint64_t>(sw.ElapsedUs()));
-  }
-  SwapTenantTableLocked(tenant, std::move(snap));
-}
-
-void PolicyStore::RepublishAllLocked() {
+void PolicyStore::RepublishLocked(std::string_view layer) {
   if (binding_.registry == nullptr) return;
   util::Stopwatch sw;
-  std::shared_ptr<const PolicySnapshot> snap = BuildSnapshotLocked("", nullptr);
-
-  // Rebuild every tenant against the new global layer and publish the
-  // whole table as one object.  Shared fragments intern to the objects the
-  // default snapshot just created, so this is N pointer-sharing passes,
-  // not N compiles.
-  auto table = std::make_shared<TenantTable>();
-  for (const auto& [name, sources] : tenants_) {
-    table->snapshots[name] = BuildSnapshotLocked(name, &sources);
+  std::shared_ptr<const Table> prev = table_.load(std::memory_order_acquire);
+  auto next = std::make_shared<Table>();
+  next->version = version_.load();
+  if (!layer.empty() && prev != nullptr) {
+    // A tenant-layer change: every other namespace keeps its snapshot
+    // object, and with it every memoized decision fenced on it.
+    next->fallback = prev->fallback;
+    next->tenants = prev->tenants;
+    if (auto old = next->tenants.find(layer); old != next->tenants.end()) {
+      next->tenants.erase(old);
+    }
+    if (auto it = tenants_.find(layer); it != tenants_.end()) {
+      next->tenants.emplace(it->first,
+                            BuildSnapshotLocked(it->first, &it->second));
+    }
+  } else {
+    // A global change reaches every namespace.  Shared fragments intern to
+    // the objects the default snapshot just created, so this is N
+    // pointer-sharing passes, not N compiles.
+    next->fallback = BuildSnapshotLocked("", nullptr);
+    for (const auto& [name, tenant] : tenants_) {
+      next->tenants.emplace(name, BuildSnapshotLocked(name, &tenant));
+    }
   }
-  table->source_version = tenant_version_.load(std::memory_order_acquire);
-
   if (binding_.metrics != nullptr) {
     binding_.metrics->GetHistogram("gaa_policy_compile_us")
         ->Record(static_cast<std::uint64_t>(sw.ElapsedUs()));
     binding_.metrics->GetGauge("gaa_policy_snapshot_version")
-        ->Set(static_cast<std::int64_t>(snap->store_version_));
+        ->Set(static_cast<std::int64_t>(next->version));
     binding_.metrics->GetGauge("gaa_policy_snapshot_built_us")
         ->Set(static_cast<std::int64_t>(sw.ElapsedUs()));
     binding_.metrics->GetGauge("gaa_tenant_count")
         ->Set(static_cast<std::int64_t>(tenants_.size()));
   }
 
-  // Publish, retire the predecessors, reclaim quiescent retirees.  Readers
-  // that loaded an old snapshot before the swap hold their own reference;
-  // it is freed once the last of them releases it.
-  std::shared_ptr<const PolicySnapshot> prev = snapshot_.exchange(
-      std::shared_ptr<const PolicySnapshot>(snap), std::memory_order_acq_rel);
-  if (prev != nullptr) retired_.push_back(std::move(prev));
-  std::shared_ptr<const TenantTable> prev_table = tenant_table_.exchange(
-      std::shared_ptr<const TenantTable>(std::move(table)),
-      std::memory_order_acq_rel);
-  if (prev_table != nullptr) {
-    for (const auto& [name, old_snap] : prev_table->snapshots) {
-      retired_.push_back(old_snap);
+  // Publish, retire every snapshot the new table no longer serves, reclaim
+  // quiescent retirees.  Readers that loaded an old snapshot before the
+  // swap hold their own reference; it is freed once the last of them
+  // releases it.
+  table_.store(std::shared_ptr<const Table>(next), std::memory_order_release);
+  if (prev != nullptr) {
+    if (next->fallback != prev->fallback) retired_.push_back(prev->fallback);
+    for (const auto& [name, snap] : prev->tenants) {
+      if (next->Find(name) != snap) retired_.push_back(snap);
     }
+    prev.reset();  // the old table's references must not pin the retirees
   }
   ReclaimRetiredLocked();
 }
@@ -618,30 +497,31 @@ std::size_t PolicyStore::retired_floor() const {
 std::string PolicyStore::ExportSystemPolicies() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
-  for (std::size_t i = 0; i < system_policies_.size(); ++i) {
+  for (std::size_t i = 0; i < global_.system.size(); ++i) {
     if (i > 0) out += "\n";
-    out += eacl::PrintEacl(system_policies_[i]);
+    out += eacl::PrintEacl(global_.system[i].eacl);
   }
   return out;
 }
 
 std::optional<std::string> PolicyStore::ExportLocalPolicy(
     const std::string& dir_prefix) const {
-  std::string key = dir_prefix.empty() ? "/" : dir_prefix;
+  std::optional<std::string> key = CanonicalPrefix(dir_prefix);
+  if (!key.has_value()) return std::nullopt;
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = local_policies_.find(key);
-  if (it == local_policies_.end()) return std::nullopt;
-  return eacl::PrintEacl(it->second);
+  auto it = global_.locals.find(*key);
+  if (it == global_.locals.end()) return std::nullopt;
+  return eacl::PrintEacl(it->second.eacl);
 }
 
 std::size_t PolicyStore::system_policy_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return system_policies_.size();
+  return global_.system.size();
 }
 
 std::size_t PolicyStore::local_policy_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return local_policies_.size();
+  return global_.locals.size();
 }
 
 }  // namespace gaa::core

@@ -2,25 +2,30 @@
 //
 // Mirrors Apache's .htaccess behaviour: "when processing a client's request
 // to access a document Apache looks for an access control file in every
-// directory of the path to the document".  The store keeps one optional
-// system-wide policy list plus local policies attached to directory
-// prefixes; PoliciesFor(object) gathers the system-wide policies and every
-// local policy on the directory chain of `object`, root to leaf.
+// directory of the path to the document".  The store keeps policy layers of
+// one shape — system-wide policies plus local policies attached to directory
+// prefixes — for the global layer and for every tenant namespace (DESIGN.md
+// §14).  A namespace sees the global layer followed by its own: its system
+// policies evaluate after the globals, and its local at a prefix shadows the
+// global local there.  The default namespace ("") is the global layer alone.
+// PoliciesFor(object, tenant) gathers the namespace's system policies and
+// every local policy on the directory chain of `object`, root to leaf.
 //
-// A monotonically increasing version number lets the policy cache detect
-// staleness after any policy change.
+// Every mutation takes one path: canonicalize the prefix, parse, validate,
+// apply to one layer, bump the single version counter and republish the
+// namespaces that see the layer — all of them for a global change, one for a
+// tenant change.  The version lets the policy cache detect staleness.
 //
 // Compiled-engine publication (DESIGN.md §9): once an engine is bound via
-// BindEngine, every mutation also recompiles the full policy set into an
-// immutable PolicySnapshot and publishes it through one atomic pointer
-// swap (RCU-style).  Request threads read the current snapshot with a
-// single acquire-load — no lock, no copy — and a policy tightened during an
-// attack takes effect on the very next request.  Readers hold snapshots by
-// shared_ptr, so a superseded snapshot is reclaimed as soon as the last
-// reader releases it: the retired list keeps superseded snapshots only
-// until their use_count drops to the store's own reference (plus a small
-// configurable floor of the most recent ones), so policy churn no longer
-// grows memory without bound.
+// BindEngine, the store publishes one immutable table holding every
+// namespace's compiled PolicySnapshot through one atomic shared_ptr swap
+// (RCU-style).  A request thread resolves its namespace with one
+// acquire-load plus compares — no lock, no copy — and a policy tightened
+// during an attack takes effect on the very next request.  A republish reuses
+// the snapshot object of every namespace it does not touch, so their memoized
+// decisions stay warm.  A superseded snapshot is reclaimed as soon as the
+// last reader releases it (beyond a small configurable floor of the most
+// recent ones), so policy churn does not grow memory without bound.
 #pragma once
 
 #include <atomic>
@@ -58,10 +63,10 @@ struct EngineBinding {
 };
 
 /// An immutable compiled view of one namespace's policy set at one store
-/// version.  The default namespace's snapshot sees only the shared global
-/// policies; a tenant's snapshot layers the tenant's own system policies
-/// after the globals and overlays its local policies over the global ones
-/// (same-prefix tenant locals shadow).
+/// version.  The default namespace's snapshot sees only the global layer; a
+/// tenant's snapshot layers the tenant's own system policies after the
+/// globals and overlays its local policies over the global ones (same-prefix
+/// tenant locals shadow).
 class PolicySnapshot {
  public:
   std::uint64_t store_version() const { return store_version_; }
@@ -71,11 +76,6 @@ class PolicySnapshot {
 
   /// Namespace this snapshot was built for ("" = default).
   const std::string& tenant() const { return tenant_; }
-
-  /// Value of the namespace's source-mutation counter at build time; the
-  /// store compares it against the live counter to detect a published
-  /// snapshot that lags its sources (the Clear()/Remove() staleness guard).
-  std::uint64_t source_version() const { return source_version_; }
 
   /// Assemble the per-path view: system policies plus the directory-chain
   /// locals.  Pure pointer gathering over immutable data — no locks.
@@ -95,23 +95,11 @@ class PolicySnapshot {
 
   std::uint64_t store_version_ = 0;
   std::uint64_t registry_version_ = 0;
-  std::uint64_t source_version_ = 0;
   const ConditionRegistry* compiled_for_ = nullptr;
   std::string tenant_;
   eacl::CompositionMode mode_ = eacl::CompositionMode::kNarrow;
   std::vector<std::shared_ptr<const eacl::CompiledPolicy>> system_;
   std::map<std::string, std::shared_ptr<const eacl::CompiledPolicy>> locals_;
-};
-
-/// The published tenant → snapshot table: itself one immutable RCU object,
-/// so a request thread resolves its namespace with a single acquire-load
-/// plus a map lookup over frozen data.  The default namespace is NOT in the
-/// table (it has its own dedicated atomic slot).
-struct TenantTable {
-  std::map<std::string, std::shared_ptr<const PolicySnapshot>, std::less<>>
-      snapshots;
-  /// Tenant-mutation counter value at publish (staleness guard).
-  std::uint64_t source_version = 0;
 };
 
 class PolicyStore {
@@ -134,7 +122,10 @@ class PolicyStore {
 
   /// Attach a local policy to a directory prefix, e.g. "/" or "/cgi-bin".
   /// Replaces any previous policy at the same prefix (like rewriting the
-  /// directory's .htaccess).
+  /// directory's .htaccess).  The prefix is canonicalized the way
+  /// DirectoryChain spells directories: "" means "/", a trailing '/' is
+  /// dropped ("/private/" is "/private"), and a prefix not starting with
+  /// '/' is rejected with kInvalidArgument.
   util::VoidResult SetLocalPolicy(const std::string& dir_prefix,
                                   const std::string& eacl_text);
 
@@ -145,14 +136,11 @@ class PolicyStore {
   void Clear();
 
   // --- tenant namespaces (DESIGN.md §14) -----------------------------------
-  // Every tenant sees the shared global policies (the system-wide set and
-  // the "/"-chain locals added through the methods above) plus its own
-  // layer: tenant system policies evaluate after the globals, tenant locals
-  // shadow a global local at the same directory prefix.  All tenant
-  // snapshots are compiled through the content-addressed IrStore, so the
-  // shared layer — and any tenant-local policy that is structurally
-  // identical under the same provenance name — is one compiled object no
-  // matter how many tenants reference it.
+  // A tenant's layer has the same shape as the global one.  All snapshots
+  // are compiled through the content-addressed IrStore, so the shared
+  // global layer — and any tenant policy that is structurally identical
+  // under the same provenance name — is one compiled object no matter how
+  // many tenants reference it.
 
   /// Create an (empty) tenant namespace.  Idempotent; the tenant becomes
   /// resolvable immediately with the purely-global policy view.
@@ -165,8 +153,8 @@ class PolicyStore {
   std::vector<std::string> TenantNames() const;
   std::size_t tenant_count() const;
 
-  /// Tenant-scoped mutators; all auto-create the tenant (Set/Add) and
-  /// republish the tenant table atomically before returning.
+  /// Tenant-scoped mutators; tenant "" is the global layer.  Set/Add
+  /// auto-create the tenant; all republish before returning.
   util::VoidResult AddTenantSystemPolicy(const std::string& tenant,
                                          const std::string& eacl_text,
                                          const std::string& name = "");
@@ -188,48 +176,40 @@ class PolicyStore {
   /// The content-addressed compile cache (bench/status introspection).
   eacl::IrStore::Stats ir_store_stats() const { return ir_store_.stats(); }
 
-  /// Retrieve and compose the policies protecting `object_path`.
-  /// System-wide policies come first; local policies follow the directory
-  /// chain root→leaf (more-specific policies later, consistent with ordered
-  /// evaluation precedence of earlier == higher-priority policies).
-  eacl::ComposedPolicy PoliciesFor(const std::string& object_path) const;
+  /// Retrieve and compose the policies protecting `object_path` in the
+  /// `tenant` namespace ("" or unknown = the default namespace) for the
+  /// interpreted engine.  System-wide policies come first; local policies
+  /// follow the directory chain root→leaf (more-specific policies later,
+  /// consistent with ordered evaluation precedence of earlier ==
+  /// higher-priority policies).
+  eacl::ComposedPolicy PoliciesFor(const std::string& object_path,
+                                   std::string_view tenant = "") const;
 
-  /// Tenant-scoped variant for the interpreted engine: globals plus the
-  /// tenant's layer, same shadowing rules the compiled snapshot applies.
-  /// tenant == "" (or unknown) degrades to PoliciesFor.
-  eacl::ComposedPolicy PoliciesForTenant(std::string_view tenant,
-                                         const std::string& object_path) const;
-
-  /// Version counter bumped by every mutation; used for cache invalidation.
+  /// Version counter bumped by every mutation; used for cache invalidation
+  /// and as the fence of the published snapshot table.
   std::uint64_t version() const { return version_.load(); }
 
   // --- compiled snapshot publication (DESIGN.md §9) -------------------------
 
-  /// Bind the compiler inputs and publish the first snapshot.  Called by
+  /// Bind the compiler inputs and publish the first snapshots.  Called by
   /// GaaApi construction; harmless to rebind (last bind wins).
   void BindEngine(EngineBinding binding);
 
-  /// The currently published snapshot — one atomic shared_ptr load, no
-  /// lock.  Null before BindEngine.  Holding the returned shared_ptr pins
-  /// the snapshot; release it promptly (per-request scope) so superseded
-  /// snapshots can be reclaimed.
-  std::shared_ptr<const PolicySnapshot> CurrentSnapshot() const {
-    return snapshot_.load(std::memory_order_acquire);
-  }
-
-  /// Hot-path accessor: the published snapshot, recompiled first (cold,
-  /// mutex-guarded) when `registry_version` says routines were registered
-  /// after the last compile.  Returns null — caller falls back to the
-  /// interpreter — when the engine is bound to a different registry or the
-  /// store is in parse-on-retrieve (ablation) mode.
-  std::shared_ptr<const PolicySnapshot> FreshSnapshot(
-      const ConditionRegistry* registry, std::uint64_t registry_version);
-
-  /// Tenant-scoped twins.  An unknown (or empty) tenant falls back to the
-  /// default namespace — the unknown-host request is then governed by the
-  /// global policy set, never left unpoliced.
+  /// The snapshot currently published for `tenant` — one atomic shared_ptr
+  /// load, no lock.  An unknown (or empty) tenant resolves to the default
+  /// namespace: the unknown-host request is then governed by the global
+  /// policy set, never left unpoliced.  Null before BindEngine.  Holding
+  /// the returned shared_ptr pins the snapshot; release it promptly
+  /// (per-request scope) so superseded snapshots can be reclaimed.
   std::shared_ptr<const PolicySnapshot> CurrentSnapshotFor(
       std::string_view tenant) const;
+
+  /// Hot-path accessor: the published snapshot, republished first (cold,
+  /// mutex-guarded) when the table lags `version()` or `registry_version`
+  /// says routines were registered after the last compile.  Returns null —
+  /// caller falls back to the interpreter — when the engine is bound to a
+  /// different registry or the store is in parse-on-retrieve (ablation)
+  /// mode.
   std::shared_ptr<const PolicySnapshot> FreshSnapshotFor(
       std::string_view tenant, const ConditionRegistry* registry,
       std::uint64_t registry_version);
@@ -249,60 +229,94 @@ class PolicyStore {
   /// paper's implementation, which read and translated the policy files on
   /// each request — the cost its §9 policy cache was meant to remove.  The
   /// A1 ablation benchmarks flip this switch.  Also disables the compiled
-  /// snapshot path (FreshSnapshot returns null) so the ablation measures
+  /// snapshot path (FreshSnapshotFor returns null) so the ablation measures
   /// the interpreted pipeline.
   void SetParseOnRetrieve(bool enabled) { parse_on_retrieve_ = enabled; }
   bool parse_on_retrieve() const { return parse_on_retrieve_; }
 
+  /// Policy counts of the global layer.
   std::size_t system_policy_count() const;
   std::size_t local_policy_count() const;
 
   /// Split "/a/b/c.html" into its directory chain: "/", "/a", "/a/b".
   static std::vector<std::string> DirectoryChain(const std::string& object_path);
 
-  /// Render the current policy set back to EACL text (policy-officer
-  /// export; round-trips through the parser).
+  /// Render the global layer back to EACL text (policy-officer export;
+  /// round-trips through the parser).
   std::string ExportSystemPolicies() const;
   std::optional<std::string> ExportLocalPolicy(
       const std::string& dir_prefix) const;
 
  private:
-  /// One tenant's own policy layer (sources; compiled forms live in the
-  /// published snapshots).
-  struct TenantSources {
-    std::vector<eacl::Eacl> system_policies;
-    std::vector<std::string> system_texts;
-    std::vector<std::string> system_names;
-    std::map<std::string, eacl::Eacl> local_policies;
-    std::map<std::string, std::string> local_texts;
+  /// One stored policy: the parsed form, the text it came from (re-parsed
+  /// in parse-on-retrieve mode) and its provenance name for attribution
+  /// ("system#<i>", a file path, or "local:<prefix>").
+  struct Policy {
+    eacl::Eacl eacl;
+    std::string text;
+    std::string name;
   };
 
+  /// One namespace layer; the global layer and every tenant's.
+  struct Layer {
+    std::vector<Policy> system;
+    std::map<std::string, Policy> locals;  ///< canonical prefix -> policy
+  };
+
+  /// A namespace's effective policy set, in evaluation order: global then
+  /// tenant system policies, and (prefix, local) pairs after shadowing.
+  struct View {
+    std::vector<const Policy*> system;
+    std::vector<std::pair<std::string_view, const Policy*>> locals;
+  };
+
+  /// The published table: every namespace's snapshot, fenced by the
+  /// `version_` value it was published at.  Immutable once published.
+  struct Table {
+    std::uint64_t version = 0;
+    std::shared_ptr<const PolicySnapshot> fallback;  ///< the "" namespace
+    std::map<std::string, std::shared_ptr<const PolicySnapshot>, std::less<>>
+        tenants;
+
+    const std::shared_ptr<const PolicySnapshot>& Find(
+        std::string_view tenant) const;
+  };
+
+  enum class Op {
+    kAddSystem, kSetLocal, kRemoveLocal, kAddTenant, kRemoveTenant, kClear
+  };
+
+  /// The one mutation path.  `arg` is the local-policy prefix (kSetLocal,
+  /// kRemoveLocal) or the system policy's name (kAddSystem); `text` is the
+  /// policy to parse and validate.  Under `mu_` it applies `op` to the
+  /// `tenant` layer ("" = global), then bumps `version_` and republishes
+  /// the affected namespaces.  Returns whether anything changed: an
+  /// idempotent AddTenant or a Remove that found nothing leaves the version
+  /// and every snapshot alone.
+  util::Result<bool> Mutate(Op op, std::string_view tenant,
+                            std::string_view arg = {},
+                            const std::string* text = nullptr);
+
+  /// The layering rule, read by both engines; `mu_` held.  With
+  /// `object_path` the locals are those on its directory chain, root to
+  /// leaf; without, every local the namespace sees.  `tenant` null is the
+  /// default namespace.
+  View ViewLocked(const Layer* tenant, const std::string* object_path) const;
+
   /// Compile one namespace's snapshot through the IrStore; `mu_` held.
-  /// `tenant` null builds the default (globals-only) snapshot.
   std::shared_ptr<const PolicySnapshot> BuildSnapshotLocked(
-      const std::string& tenant_name, const TenantSources* tenant);
+      const std::string& name, const Layer* tenant);
 
-  /// Single republication funnel (the Clear()/RemoveLocalPolicy staleness
-  /// fix rides on every mutator ending here): rebuild the default snapshot
-  /// AND every tenant snapshot (a global mutation changes what all of them
-  /// see), publish both atomic slots, retire predecessors; `mu_` held.
+  /// Publish a new table after a change to `layer` ("" = global: rebuild
+  /// every namespace; otherwise rebuild or drop only that tenant and reuse
+  /// every other snapshot object), retire what it superseded; `mu_` held.
   /// A no-op until an engine is bound.
-  void RepublishAllLocked();
-
-  /// Rebuild and republish exactly one tenant's snapshot (tenant-scoped
-  /// mutation: nobody else's snapshot — or memos — move); `mu_` held.
-  void RepublishTenantLocked(const std::string& tenant);
-
-  /// Publish a new tenant table derived from the current one by replacing
-  /// (or erasing, when `snap` is null) one tenant's entry; `mu_` held.
-  void SwapTenantTableLocked(
-      const std::string& tenant,
-      std::shared_ptr<const PolicySnapshot> snap);
+  void RepublishLocked(std::string_view layer);
 
   /// Drop retired snapshots whose use_count fell to the store's own
   /// reference, keeping the `retired_floor_` newest; `mu_` must be held.
-  /// Safe because snapshots enter retired_ only after they stop being the
-  /// published one, so their reference count can only decrease.
+  /// Safe because snapshots enter retired_ only after they stop being
+  /// published, so their reference count can only decrease.
   void ReclaimRetiredLocked();
 
   /// The compile-environment identity fed to IrStore::Intern: mixes the
@@ -311,31 +325,18 @@ class PolicyStore {
   std::uint64_t CompileEnvKeyLocked() const;
 
   mutable std::mutex mu_;
-  std::vector<eacl::Eacl> system_policies_;
-  std::vector<std::string> system_texts_;
-  std::vector<std::string> system_names_;  // parallel provenance names
-  std::map<std::string, eacl::Eacl> local_policies_;   // prefix -> policy
-  std::map<std::string, std::string> local_texts_;     // prefix -> text
-  std::map<std::string, TenantSources, std::less<>> tenants_;  // under mu_
+  Layer global_;                                       // under mu_
+  std::map<std::string, Layer, std::less<>> tenants_;  // under mu_
   std::atomic<std::uint64_t> version_{0};
-  /// Bumped only by mutations visible to the default namespace (global
-  /// system/local changes, Clear): the staleness fence FreshSnapshot checks
-  /// against the published snapshot.  Tenant-scoped mutations leave it
-  /// alone so they cannot perturb default-namespace memo fencing.
-  std::atomic<std::uint64_t> default_version_{0};
-  /// Bumped by any tenant-layer mutation; fences the tenant table.
-  std::atomic<std::uint64_t> tenant_version_{0};
   std::atomic<bool> parse_on_retrieve_{false};
 
   EngineBinding binding_;  // guarded by mu_
   /// Content-addressed compile cache shared by every namespace's builds.
   eacl::IrStore ir_store_;
-  /// Published snapshot.  Readers load a shared_ptr (lock-free publication,
-  /// reference-counted reclamation); superseded snapshots move to
-  /// `retired_` until quiescent.
-  std::atomic<std::shared_ptr<const PolicySnapshot>> snapshot_;
-  /// Published tenant table (never null once an engine is bound).
-  std::atomic<std::shared_ptr<const TenantTable>> tenant_table_;
+  /// Published table (null before BindEngine).  Readers load a shared_ptr
+  /// (lock-free publication, reference-counted reclamation); superseded
+  /// snapshots move to `retired_` until quiescent.
+  std::atomic<std::shared_ptr<const Table>> table_;
   std::vector<std::shared_ptr<const PolicySnapshot>> retired_;  // under mu_
   std::size_t retired_floor_ = 2;                               // under mu_
 };

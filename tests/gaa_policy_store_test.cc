@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "gaa/api.h"
 #include "gaa/registry.h"
+#include "testing/helpers.h"
 
 namespace gaa::core {
 namespace {
@@ -95,7 +97,7 @@ TEST(PolicyStore, EveryMutatorRepublishesTheSnapshotAtomically) {
   store.BindEngine({&registry, nullptr, nullptr});
   ASSERT_TRUE(store.SetLocalPolicy("/", "pos_access_right apache *\n").ok());
   ASSERT_TRUE(store.AddSystemPolicy("pos_access_right a b\n").ok());
-  auto s0 = store.CurrentSnapshot();
+  auto s0 = store.CurrentSnapshotFor("");
   ASSERT_NE(s0, nullptr);
   EXPECT_EQ(s0->locals().size(), 1u);
   EXPECT_EQ(s0->system().size(), 1u);
@@ -103,7 +105,7 @@ TEST(PolicyStore, EveryMutatorRepublishesTheSnapshotAtomically) {
   // Regression (stale-snapshot fix): RemoveLocalPolicy republishes before
   // returning, so the published snapshot can never lag its sources.
   EXPECT_TRUE(store.RemoveLocalPolicy("/"));
-  auto s1 = store.CurrentSnapshot();
+  auto s1 = store.CurrentSnapshotFor("");
   ASSERT_NE(s1, nullptr);
   EXPECT_TRUE(s1->locals().empty());
   EXPECT_GT(s1->store_version(), s0->store_version());
@@ -114,7 +116,7 @@ TEST(PolicyStore, EveryMutatorRepublishesTheSnapshotAtomically) {
   ASSERT_NE(store.CurrentSnapshotFor("t"), nullptr);
   EXPECT_EQ(store.CurrentSnapshotFor("t")->tenant(), "t");
   store.Clear();
-  auto s2 = store.CurrentSnapshot();
+  auto s2 = store.CurrentSnapshotFor("");
   ASSERT_NE(s2, nullptr);
   EXPECT_TRUE(s2->system().empty());
   EXPECT_TRUE(s2->locals().empty());
@@ -131,15 +133,76 @@ TEST(PolicyStore, TenantMutationLeavesOtherTenantSnapshotsUntouched) {
   ASSERT_TRUE(store.AddTenant("b").ok());
   auto a0 = store.CurrentSnapshotFor("a");
   auto b0 = store.CurrentSnapshotFor("b");
+  auto d0 = store.CurrentSnapshotFor("");
   ASSERT_TRUE(
       store.SetTenantLocalPolicy("a", "/", "pos_access_right x y\n").ok());
   auto a1 = store.CurrentSnapshotFor("a");
   auto b1 = store.CurrentSnapshotFor("b");
+  auto d1 = store.CurrentSnapshotFor("");
   EXPECT_NE(a1.get(), a0.get());
   ASSERT_EQ(a1->locals().size(), 1u);
   // Tenant b's snapshot object is reused verbatim — a's reload compiled and
   // published only a's namespace.
   EXPECT_EQ(b1.get(), b0.get());
+  // So is the default namespace's, at its old store version: memos fenced
+  // on it stay warm.
+  EXPECT_EQ(d1.get(), d0.get());
+  EXPECT_EQ(d1->store_version(), d0->store_version());
+}
+
+TEST(PolicyStore, TrailingSlashPrefixGovernsItsDirectory) {
+  // DirectoryChain spells directories "/private", never "/private/": a
+  // prefix stored verbatim with its trailing slash would protect nothing.
+  for (const std::string tenant : {"", "t"}) {
+    gaa::testing::TestRig rig;
+    PolicyStore store;
+    GaaApi api(&store, rig.services);
+    api.set_engine_mode(EngineMode::kCompiled);
+    ASSERT_TRUE(
+        store.SetTenantLocalPolicy(tenant, "/", "pos_access_right * *\n").ok());
+    ASSERT_TRUE(store
+                    .SetTenantLocalPolicy(tenant, "/private/",
+                                          "neg_access_right * *\n")
+                    .ok());
+    EXPECT_EQ(
+        store.PoliciesFor("/private/report.html", tenant).local_policies.size(),
+        2u)
+        << tenant;
+    RequestContext ctx = gaa::testing::MakeContext(
+        "10.0.0.1", "/private/report.html");
+    ctx.tenant = tenant;
+    AuthzResult denied =
+        api.Authorize(ctx.object, RequestedRight{"apache", "GET"}, ctx);
+    EXPECT_EQ(denied.status, util::Tristate::kNo) << tenant;
+    ASSERT_TRUE(denied.attribution.has_value()) << tenant;
+    EXPECT_EQ(denied.attribution->policy, "local:/private") << tenant;
+    ctx = gaa::testing::MakeContext("10.0.0.1", "/index.html");
+    ctx.tenant = tenant;
+    EXPECT_EQ(
+        api.Authorize(ctx.object, RequestedRight{"apache", "GET"}, ctx).status,
+        util::Tristate::kYes)
+        << tenant;
+
+    // A prefix that can never match a directory is refused outright.
+    const auto v = store.version();
+    auto bad = store.SetTenantLocalPolicy(tenant, "private",
+                                          "neg_access_right * *\n");
+    ASSERT_FALSE(bad.ok()) << tenant;
+    EXPECT_EQ(bad.error().code, util::ErrorCode::kInvalidArgument);
+    EXPECT_EQ(store.version(), v) << tenant;
+    EXPECT_FALSE(store.RemoveTenantLocalPolicy(tenant, "private")) << tenant;
+    EXPECT_EQ(store.version(), v) << tenant;
+
+    // Remove (and, for the global layer, Export) use the same canonical key.
+    if (tenant.empty()) {
+      EXPECT_TRUE(store.ExportLocalPolicy("/private/").has_value());
+    }
+    EXPECT_TRUE(store.RemoveTenantLocalPolicy(tenant, "/private/")) << tenant;
+    EXPECT_EQ(
+        store.PoliciesFor("/private/report.html", tenant).local_policies.size(),
+        1u)
+        << tenant;
+  }
 }
 
 TEST(PolicyStore, StopModeDropsLocalAtComposition) {

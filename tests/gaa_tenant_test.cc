@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "conditions/builtin.h"
 #include "eacl/ir_store.h"
@@ -15,6 +16,7 @@
 #include "http/request.h"
 #include "integration/gaa_web_server.h"
 #include "testing/helpers.h"
+#include "util/rng.h"
 
 namespace gaa::core {
 namespace {
@@ -151,7 +153,7 @@ TEST(IrStoreDedup, SharedGlobalLayerIsOneObjectAcrossTenants) {
   ASSERT_TRUE(s.store.AddTenant("t1").ok());
   ASSERT_TRUE(s.store.AddTenant("t2").ok());
 
-  auto def = s.store.CurrentSnapshot();
+  auto def = s.store.CurrentSnapshotFor("");
   auto t1 = s.store.CurrentSnapshotFor("t1");
   auto t2 = s.store.CurrentSnapshotFor("t2");
   ASSERT_NE(def, nullptr);
@@ -182,10 +184,10 @@ TEST(TenantLayering, TenantSystemPoliciesFollowGlobals) {
                   .ok());
   ASSERT_TRUE(s.store.AddTenantSystemPolicy("acme", kDeny).ok());
 
-  auto global_view = s.store.PoliciesForTenant("", "/x");
+  auto global_view = s.store.PoliciesFor("/x", "");
   EXPECT_EQ(global_view.system_policies.size(), 1u);
 
-  auto tenant_view = s.store.PoliciesForTenant("acme", "/x");
+  auto tenant_view = s.store.PoliciesFor("/x", "acme");
   ASSERT_EQ(tenant_view.system_policies.size(), 2u);
   EXPECT_TRUE(tenant_view.system_policies[0].entries[0].right.positive);
   EXPECT_FALSE(tenant_view.system_policies[1].entries[0].right.positive);
@@ -197,14 +199,14 @@ TEST(TenantLayering, TenantLocalShadowsSamePrefixGlobal) {
   ASSERT_TRUE(s.store.SetLocalPolicy("/docs", kGrant).ok());
   ASSERT_TRUE(s.store.SetTenantLocalPolicy("acme", "/", kDeny).ok());
 
-  auto view = s.store.PoliciesForTenant("acme", "/docs/guide.html");
+  auto view = s.store.PoliciesFor("/docs/guide.html", "acme");
   ASSERT_EQ(view.local_policies.size(), 2u);
   // "/" is the tenant's (shadowed); "/docs" falls through to the global.
   EXPECT_FALSE(view.local_policies[0].entries[0].right.positive);
   EXPECT_TRUE(view.local_policies[1].entries[0].right.positive);
 
   // The default namespace never sees the tenant overlay.
-  auto global_view = s.store.PoliciesForTenant("", "/docs/guide.html");
+  auto global_view = s.store.PoliciesFor("/docs/guide.html", "");
   ASSERT_EQ(global_view.local_policies.size(), 2u);
   EXPECT_TRUE(global_view.local_policies[0].entries[0].right.positive);
 }
@@ -337,6 +339,123 @@ TEST(TenantDifferential, ByteIdenticalToSingleNamespaceStore) {
     EXPECT_EQ(da[i].tenant, "");
     EXPECT_EQ(db[i].tenant, "acme");
   }
+}
+
+// --- differential: compiled == interpreted in every namespace ---------------
+
+// Side-effect-free conditions only, so the three engine configurations can
+// evaluate the same request against one stack and must agree exactly.
+std::string RandomLayerPolicy(util::Rng& rng, bool system) {
+  static const char* kConds[] = {
+      "pre_cond_accessid USER apache alice",
+      "pre_cond_accessid HOST local 10.0.0.0/8",
+      "pre_cond_time local 09:00-17:00",
+      "pre_cond_time local 01:00-02:00",
+      "pre_cond_system_threat_level local =low",
+      "pre_cond_system_threat_level local >medium",
+      "pre_cond_regex gnu *phf*",
+      "pre_cond_expr local slash_count >=2",
+  };
+  std::string text;
+  if (system && rng.NextBool(0.5)) {
+    text += "eacl_mode " + std::to_string(rng.NextBelow(3)) + "\n";
+  }
+  const std::size_t entries = 1 + rng.NextBelow(3);
+  for (std::size_t i = 0; i < entries; ++i) {
+    text += rng.NextBool(0.6) ? "pos_access_right " : "neg_access_right ";
+    text += rng.NextBool(0.8) ? "apache " : "* ";
+    text += rng.NextBool(0.5) ? "*" : (rng.NextBool(0.5) ? "GET" : "POST");
+    text += "\n";
+    for (std::size_t c = rng.NextBelow(3); c > 0; --c) {
+      text += kConds[rng.NextBelow(std::size(kConds))];
+      text += "\n";
+    }
+  }
+  return text;
+}
+
+TEST(TenantDifferential, CompiledMatchesInterpretedInEveryNamespace) {
+  static const char* kPrefixes[] = {"/", "/docs", "/docs/api", "/private",
+                                    "/cgi-bin"};
+  static const char* kPaths[] = {"/index.html", "/docs/guide.html",
+                                 "/docs/api/ref.html", "/private/report.html",
+                                 "/cgi-bin/phf"};
+  // "ghost" is a namespace nobody created: it must resolve to the default.
+  static const char* kNamespaces[] = {"", "t0", "t1", "t2", "ghost"};
+  const RequestedRight kRights[] = {
+      {"apache", "GET"}, {"apache", "POST"}, {"other", "GET"}};
+  int outcomes[3] = {0, 0, 0};  // the differential must see every tristate
+
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    util::Rng rng(seed);
+    Stack s;
+    // Random layers: "" is the global layer, every tenant draws its own over
+    // the same prefix pool so tenant locals shadow global ones.
+    for (const std::string layer : {"", "t0", "t1", "t2"}) {
+      if (!layer.empty()) {
+        ASSERT_TRUE(s.store.AddTenant(layer).ok());
+      }
+      for (std::size_t i = rng.NextBelow(3); i > 0; --i) {
+        ASSERT_TRUE(s.store
+                        .AddTenantSystemPolicy(layer,
+                                               RandomLayerPolicy(rng, true))
+                        .ok());
+      }
+      for (std::size_t i = rng.NextBelow(4); i > 0; --i) {
+        const char* prefix = kPrefixes[rng.NextBelow(std::size(kPrefixes))];
+        ASSERT_TRUE(s.store
+                        .SetTenantLocalPolicy(layer, prefix,
+                                              RandomLayerPolicy(rng, false))
+                        .ok());
+      }
+    }
+
+    for (const std::string tenant : kNamespaces) {
+      for (const char* path : kPaths) {
+        for (const auto& right : kRights) {
+          for (const bool alice : {false, true}) {
+            const char* ip = alice ? "192.168.1.5" : "10.0.0.1";
+            auto run = [&](EngineMode mode, bool reparse) {
+              s.api.set_engine_mode(mode);
+              s.store.SetParseOnRetrieve(reparse);
+              RequestContext ctx = MakeContext(ip, path, right.value);
+              ctx.tenant = tenant;
+              ctx.authenticated = alice;
+              if (alice) ctx.user = "alice";
+              return s.api.Authorize(ctx.object, right, ctx);
+            };
+            const AuthzResult compiled = run(EngineMode::kCompiled, false);
+            const AuthzResult interp = run(EngineMode::kInterpreted, false);
+            const AuthzResult reparsed = run(EngineMode::kInterpreted, true);
+            s.store.SetParseOnRetrieve(false);
+            ++outcomes[static_cast<int>(compiled.status)];
+            const std::string where = "seed " + std::to_string(seed) +
+                                      " tenant '" + tenant + "' " + path +
+                                      " " + right.def_auth + "/" +
+                                      right.value + " " + ip;
+            for (const AuthzResult* other : {&interp, &reparsed}) {
+              EXPECT_EQ(compiled.status, other->status) << where;
+              ASSERT_EQ(compiled.attribution.has_value(),
+                        other->attribution.has_value())
+                  << where;
+              if (!compiled.attribution.has_value()) continue;
+              EXPECT_EQ(compiled.attribution->policy,
+                        other->attribution->policy)
+                  << where;
+              EXPECT_EQ(compiled.attribution->entry, other->attribution->entry)
+                  << where;
+              EXPECT_EQ(compiled.attribution->condition,
+                        other->attribution->condition)
+                  << where;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(outcomes[static_cast<int>(Tristate::kYes)], 0);
+  EXPECT_GT(outcomes[static_cast<int>(Tristate::kNo)], 0);
+  EXPECT_GT(outcomes[static_cast<int>(Tristate::kMaybe)], 0);
 }
 
 // --- Host routing through the full integration -------------------------------
